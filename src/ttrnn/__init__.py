@@ -9,7 +9,7 @@ from .checkpoint import (
     read_checkpoint,
     save_checkpoint,
 )
-from .config import TrainConfig, parse_kv
+from .config import BenchConfig, TrainConfig, parse_kv
 from .errors import (
     ConfigError,
     DataError,
@@ -18,11 +18,9 @@ from .errors import (
     RangeError,
     ShapeError,
     SizeError,
-    StateError,
     TTRNNError,
 )
 from .indexing import linear_to_multi, multi_to_linear
-from .kernels import BACKEND, HAVE_NUMBA
 from .linear import DenseLinear, LinearMap, TTLinear
 from .models import (
     SequenceClassifier,
@@ -51,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "BACKEND",
+    "BenchConfig",
     "Checkpoint",
     "ConfigError",
     "DENSE_CAP",
@@ -59,7 +57,6 @@ __all__ = [
     "DenseLinear",
     "FormatError",
     "GRUCell",
-    "HAVE_NUMBA",
     "LinearMap",
     "ModelReport",
     "NumericError",
@@ -69,7 +66,6 @@ __all__ = [
     "SequencePredictor",
     "ShapeError",
     "SizeError",
-    "StateError",
     "TTLinear",
     "TTMatrix",
     "TTRNNError",

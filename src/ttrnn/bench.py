@@ -11,9 +11,9 @@ parameter bytes are the stored float64 count, working bytes the peak of
 the transient buffers the forward pass holds at once. Allocator
 instrumentation would measure platform behavior, not the algorithm.
 
-Timing protocol: at least 3 warmup calls (JIT compilation, cache warming),
-then at least 20 timed repetitions, median reported. Runs are meant for a
-single-threaded worker; points are measured sequentially.
+Timing protocol: at least 3 warmup calls (cache warming), then at least 20
+timed repetitions, median reported. Runs are meant for a single-threaded
+worker; points are measured sequentially.
 """
 
 from __future__ import annotations
@@ -117,17 +117,16 @@ def dense_work_bytes(m_dim: int, n_dim: int, batch: int) -> int:
 
 def measure_tt(size_m: int, size_n: int, rank: int, max_mode: int, batch: int,
                rng: np.random.Generator, reps: int = MIN_REPS,
-               warmups: int = MIN_WARMUPS, backend: str | None = None,
-               family: str = "tt") -> BenchPoint:
+               warmups: int = MIN_WARMUPS) -> BenchPoint:
     spec = TTSpec.with_rank(balanced_modes(size_m, max_mode),
                             balanced_modes(size_n, max_mode), rank)
-    layer = TTLinear.glorot(spec, rng, bias=False, backend=backend)
+    layer = TTLinear.glorot(spec, rng, bias=False)
     x = rng.standard_normal((batch, size_n))
     grad = rng.standard_normal((batch, size_m))
     fwd = _median_time(lambda: layer.forward(x), reps, warmups)
     _, cache = layer.forward_cached(x)
     bwd = _median_time(lambda: layer.backward(grad, cache), reps, warmups)
-    return BenchPoint(family, size_m, size_n, spec.ndim, max(spec.ranks),
+    return BenchPoint("tt", size_m, size_n, spec.ndim, max(spec.ranks),
                       max(max(spec.out_modes), max(spec.in_modes)), batch,
                       fwd, bwd, 8 * spec.param_count(),
                       tt_work_bytes(spec, batch))
@@ -179,27 +178,6 @@ def run_scaling_sweep(family: str, sizes, rank: int = 4, max_mode: int = 16,
                                      reps, warmups))
         else:
             points.append(measure_dense(size, size, batch, rng, reps, warmups))
-    return points
-
-
-def compare_backend_times(size: int, rank: int = 4, max_mode: int = 16,
-                          batch: int = 16, seed: int = 0, reps: int = MIN_REPS,
-                          warmups: int = MIN_WARMUPS) -> list[BenchPoint]:
-    """Time the same TT layer under each available kernel backend.
-
-    Always includes the numpy fallback; adds the numba fast path when
-    importable. Identical cores and inputs per seed, so the times are
-    directly comparable.
-    """
-    from .kernels import HAVE_NUMBA
-
-    backends = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
-    points = []
-    for backend in backends:
-        rng = np.random.default_rng(seed)
-        points.append(measure_tt(size, size, rank, max_mode, batch, rng,
-                                 reps, warmups, backend=backend,
-                                 family=f"tt-{backend}"))
     return points
 
 

@@ -22,13 +22,8 @@ from .linear import LinearMap
 
 
 def sigmoid(x):
-    # Evaluate on the negative half-line only, so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # The tanh identity is exact and bounded, so nothing can overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _check_state(h, dim: int, what: str) -> np.ndarray:

@@ -17,7 +17,9 @@ under ``map:``, bare arrays under ``arr:``, optimizer tensors under
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 
 import numpy as np
@@ -116,15 +118,26 @@ def save_checkpoint(path, model, config_text: str = "", optimizer=None,
     for key, value in (meta or {}).items():
         records.append((f"meta:{key}", KIND_ARRAY,
                         _array_payload(np.asarray([float(value)]))))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        _write_i64(fh, VERSION)
-        _write_str(fh, config_text)
-        _write_i64(fh, len(records))
-        for name, kind, payload in records:
-            _write_str(fh, name)
-            _write_i64(fh, kind, len(payload))
-            fh.write(payload)
+    # Write a sibling temp file and rename it over ``path``, so a crash
+    # mid-write leaves the previous checkpoint intact.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            _write_i64(fh, VERSION)
+            _write_str(fh, config_text)
+            _write_i64(fh, len(records))
+            for name, kind, payload in records:
+                _write_str(fh, name)
+                _write_i64(fh, kind, len(payload))
+                fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class Checkpoint:

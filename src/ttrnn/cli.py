@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 usage or config problems, 2 data problems
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
 import numpy as np
 
 from . import bench as B
 from .checkpoint import load_into_model, read_checkpoint
-from .config import TrainConfig, parse_kv
+from .config import BenchConfig, TrainConfig, parse_kv
 from .errors import (
     ConfigError,
     DataError,
@@ -23,7 +22,6 @@ from .errors import (
     RangeError,
     ShapeError,
     SizeError,
-    StateError,
 )
 from .tasks import ModelReport
 from .train import build_model, evaluate, load_split, make_eval_batches, train_run
@@ -184,67 +182,19 @@ def _non_cell_total(ckpt) -> int:
     return total
 
 
-_BENCH_INT = ("rank", "max_mode", "batch", "seed", "reps", "warmups",
-              "compare_size")
-_BENCH_DEFAULTS = dict(family="tt", sizes="1024,4096,16384", rank=4,
-                       max_mode=16, batch=16, seed=0, reps=B.MIN_REPS,
-                       warmups=B.MIN_WARMUPS, compare_backends=False,
-                       compare_size=4096)
-
-
-def _parse_bench_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    raw = parse_kv(text, source=str(path))
-    cfg = dict(_BENCH_DEFAULTS)
-    for key, value in raw.items():
-        if key not in cfg:
-            raise ConfigError(f"unknown bench field {key!r}")
-        try:
-            if key in _BENCH_INT:
-                cfg[key] = int(value)
-            elif key == "compare_backends":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError
-                cfg[key] = value.lower() == "true"
-            else:
-                cfg[key] = value
-        except ValueError:
-            raise ConfigError(f"field {key}: cannot parse {value!r}") from None
-    if cfg["family"] not in ("tt", "dense", "both"):
-        raise ConfigError("field family: must be tt, dense or both")
-    try:
-        cfg["sizes"] = tuple(int(tok) for tok in str(cfg["sizes"]).split(","))
-    except ValueError:
-        raise ConfigError(f"field sizes: cannot parse {cfg['sizes']!r}") from None
-    if not cfg["sizes"] or any(s < 1 for s in cfg["sizes"]):
-        raise ConfigError("field sizes: need at least one positive size")
-    if cfg["reps"] < B.MIN_REPS or cfg["warmups"] < B.MIN_WARMUPS:
-        raise ConfigError(f"field reps/warmups: protocol floor is "
-                          f"{B.MIN_REPS} reps, {B.MIN_WARMUPS} warmups")
-    cfg["hash"] = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return cfg
-
-
 def cmd_bench(args) -> int:
-    cfg = _parse_bench_config(args.config)
-    lines = [f"# bench config hash {cfg['hash']}"]
-    families = ("tt", "dense") if cfg["family"] == "both" else (cfg["family"],)
+    cfg = BenchConfig.from_file(args.config)
+    lines = [f"# bench config hash {cfg.digest()}"]
+    families = ("tt", "dense") if cfg.family == "both" else (cfg.family,)
     for family in families:
         points = B.run_scaling_sweep(
-            family, cfg["sizes"], rank=cfg["rank"], max_mode=cfg["max_mode"],
-            batch=cfg["batch"], seed=cfg["seed"], reps=cfg["reps"],
-            warmups=cfg["warmups"])
+            family, cfg.sizes, rank=cfg.rank, max_mode=cfg.max_mode,
+            batch=cfg.batch, seed=cfg.seed, reps=cfg.reps,
+            warmups=cfg.warmups)
         lines += [p.as_line() for p in points]
         if len(points) >= 3:
             slope, resid = B.fit_loglog_slope(points)
             lines.append(f"fit family={family} slope={slope!r} resid={resid!r}")
-    if cfg["compare_backends"]:
-        for point in B.compare_backend_times(
-                cfg["compare_size"], rank=cfg["rank"],
-                max_mode=cfg["max_mode"], batch=cfg["batch"],
-                seed=cfg["seed"], reps=cfg["reps"], warmups=cfg["warmups"]):
-            lines.append(point.as_line())
     for line in lines:
         print(line)
     if args.out:
@@ -267,8 +217,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, DataError, ShapeError, RangeError, SizeError,
-            StateError) as e:
+    except (FormatError, DataError, ShapeError, RangeError, SizeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

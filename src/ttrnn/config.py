@@ -14,11 +14,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bench import MIN_REPS, MIN_WARMUPS
 from .errors import ConfigError
 
 TASKS = ("mnist-row", "mnist-pixel", "mnist-permuted", "pianoroll")
 MODELS = ("srnn", "gru")
 PARAMETERIZATIONS = ("dense", "tt")
+BENCH_FAMILIES = ("tt", "dense", "both")
 
 
 def parse_kv(text: str, source: str = "<config>") -> dict:
@@ -45,7 +47,7 @@ def _parse_modes(value: str, field: str):
     try:
         return tuple(int(tok) for tok in value.replace(",", "x").split("x"))
     except ValueError:
-        raise ConfigError(f"field {field}: modes must look like 10x10, "
+        raise ConfigError(f"field {field}: must look like 10x10 or 10,10, "
                           f"got {value!r}") from None
 
 
@@ -53,8 +55,81 @@ def _fmt_modes(modes) -> str:
     return "none" if modes is None else "x".join(str(m) for m in modes)
 
 
+class KVConfig:
+    """Typed ``key = value`` parsing shared by every config dataclass.
+
+    A subclass is a dataclass whose defaults are the resolved values. It
+    names its typed fields in ``_INT``, ``_FLOAT``, ``_BOOL`` and
+    ``_MODES`` (everything else is a string) and extends ``validate``.
+    """
+
+    _INT = ()
+    _FLOAT = ()
+    _BOOL = ()
+    _MODES = ()
+
+    @classmethod
+    def field_names(cls):
+        return [f.name for f in fields(cls)]
+
+    @classmethod
+    def from_dict(cls, raw: dict):
+        known = cls.field_names()
+        kwargs = {}
+        for key, value in raw.items():
+            if key not in known:
+                raise ConfigError(f"unknown config field {key!r}")
+            try:
+                if key in cls._INT:
+                    kwargs[key] = int(value)
+                elif key in cls._FLOAT:
+                    kwargs[key] = float(value)
+                elif key in cls._BOOL:
+                    low = str(value).lower()
+                    if low not in ("true", "false"):
+                        raise ValueError
+                    kwargs[key] = low == "true"
+                elif key in cls._MODES:
+                    kwargs[key] = _parse_modes(str(value), key)
+                else:
+                    kwargs[key] = str(value)
+            except ValueError:
+                raise ConfigError(f"field {key}: cannot parse {value!r}") from None
+        cfg = cls(**kwargs)
+        cfg.validate()
+        return cfg
+
+    @classmethod
+    def from_file(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(parse_kv(fh.read(), source=str(path)))
+
+    def validate(self):
+        for name in self._INT:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"field {name}: must be >= 0")
+
+    def to_text(self) -> str:
+        """Canonical resolved dump: every field, sorted, one per line."""
+        lines = []
+        for name in sorted(self.field_names()):
+            value = getattr(self, name)
+            if name in self._MODES:
+                value = _fmt_modes(value)
+            elif name in self._BOOL:
+                value = "true" if value else "false"
+            elif name in self._FLOAT:
+                value = repr(float(value))
+            lines.append(f"{name} = {value}")
+        return "\n".join(lines) + "\n"
+
+    def digest(self) -> str:
+        """Hash of the resolved config; stamped on every run artifact."""
+        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
 @dataclass
-class TrainConfig:
+class TrainConfig(KVConfig):
     """Everything one training run needs, with explicit defaults.
 
     TT parameterization requires ``hidden_modes`` (their product is the
@@ -101,42 +176,6 @@ class TrainConfig:
     _BOOL = ("early_stop",)
     _MODES = ("hidden_modes", "input_modes")
 
-    @classmethod
-    def field_names(cls):
-        return [f.name for f in fields(cls)]
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = cls.field_names()
-        kwargs = {}
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-            try:
-                if key in cls._INT:
-                    kwargs[key] = int(value)
-                elif key in cls._FLOAT:
-                    kwargs[key] = float(value)
-                elif key in cls._BOOL:
-                    low = str(value).lower()
-                    if low not in ("true", "false"):
-                        raise ValueError
-                    kwargs[key] = low == "true"
-                elif key in cls._MODES:
-                    kwargs[key] = _parse_modes(str(value), key)
-                else:
-                    kwargs[key] = str(value)
-            except ValueError:
-                raise ConfigError(f"field {key}: cannot parse {value!r}") from None
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(parse_kv(fh.read(), source=str(path)))
-
     def validate(self):
         if self.task not in TASKS:
             raise ConfigError(f"field task: must be one of {TASKS}, "
@@ -146,10 +185,8 @@ class TrainConfig:
         if self.parameterization not in PARAMETERIZATIONS:
             raise ConfigError(
                 f"field parameterization: must be one of {PARAMETERIZATIONS}")
-        for name in self._INT:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"field {name}: must be >= 0")
-        if self.epochs < 0 or self.batch_size < 1:
+        super().validate()
+        if self.batch_size < 1:
             raise ConfigError("field batch_size: must be >= 1")
         if self.parameterization == "tt":
             if self.hidden_modes is None or self.input_modes is None:
@@ -181,20 +218,34 @@ class TrainConfig:
     def is_classification(self) -> bool:
         return self.task != "pianoroll"
 
-    def to_text(self) -> str:
-        """Canonical resolved dump: every field, sorted, one per line."""
-        lines = []
-        for name in sorted(self.field_names()):
-            value = getattr(self, name)
-            if name in self._MODES:
-                value = _fmt_modes(value)
-            elif name in self._BOOL:
-                value = "true" if value else "false"
-            elif name in self._FLOAT:
-                value = repr(float(value))
-            lines.append(f"{name} = {value}")
-        return "\n".join(lines) + "\n"
 
-    def digest(self) -> str:
-        """Hash of the resolved config; stamped on every run artifact."""
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+@dataclass
+class BenchConfig(KVConfig):
+    """One ``ttrnn bench`` timing sweep over square layer sizes.
+
+    ``family`` is ``tt``, ``dense`` or ``both``; ``sizes`` lists the M=N
+    grid (``1024,4096`` or ``1024x4096``).
+    """
+
+    family: str = "tt"
+    sizes: tuple | None = (1024, 4096, 16384)
+    rank: int = 4
+    max_mode: int = 16
+    batch: int = 16
+    seed: int = 0
+    reps: int = MIN_REPS
+    warmups: int = MIN_WARMUPS
+
+    _INT = ("rank", "max_mode", "batch", "seed", "reps", "warmups")
+    _MODES = ("sizes",)
+
+    def validate(self):
+        if self.family not in BENCH_FAMILIES:
+            raise ConfigError(f"field family: must be one of {BENCH_FAMILIES}, "
+                              f"got {self.family!r}")
+        super().validate()
+        if not self.sizes or any(s < 1 for s in self.sizes):
+            raise ConfigError("field sizes: need at least one positive size")
+        if self.reps < MIN_REPS or self.warmups < MIN_WARMUPS:
+            raise ConfigError(f"field reps/warmups: protocol floor is "
+                              f"{MIN_REPS} reps, {MIN_WARMUPS} warmups")

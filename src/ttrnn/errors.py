@@ -29,9 +29,5 @@ class ConfigError(TTRNNError, ValueError):
     """A configuration file or field is invalid."""
 
 
-class StateError(TTRNNError, RuntimeError):
-    """An operation was called without its required prior state."""
-
-
 class NumericError(TTRNNError, ArithmeticError):
     """A non-finite value appeared where finite numbers are required."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import get_kernels
 from .ttmatrix import TTMatrix, TTSpec
 
 
@@ -126,15 +125,10 @@ class DenseLinear(LinearMap):
 
 
 class TTLinear(LinearMap):
-    """y = x @ W.T (+ b) with W held in TT format and never materialized.
+    """y = x @ W.T (+ b) with W held in TT format and never materialized."""
 
-    ``backend`` pins this layer's contraction kernels to ``numpy`` or
-    ``numba``; the default follows the process-wide TTRNN_BACKEND choice.
-    """
-
-    def __init__(self, tt: TTMatrix, bias=None, backend: str | None = None):
+    def __init__(self, tt: TTMatrix, bias=None):
         self.tt = tt
-        self._batch_matmul, self._accum_outer = get_kernels(backend)
         self.out_dim, self.in_dim = tt.shape
         if bias is None:
             self.bias = None
@@ -148,10 +142,10 @@ class TTLinear(LinearMap):
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
 
     @classmethod
-    def glorot(cls, spec: TTSpec, rng: np.random.Generator, bias: bool = True,
-               backend: str | None = None) -> "TTLinear":
+    def glorot(cls, spec: TTSpec, rng: np.random.Generator,
+               bias: bool = True) -> "TTLinear":
         tt = TTMatrix.glorot(spec, rng)
-        return cls(tt, np.zeros(spec.out_dim) if bias else None, backend=backend)
+        return cls(tt, np.zeros(spec.out_dim) if bias else None)
 
     def _core_matrices(self):
         # Core k as a (m_k r_k, r_{k-1} n_k) matrix: rows enumerate (m_k, r_k),
@@ -174,7 +168,7 @@ class TTLinear(LinearMap):
         z_inputs = []
         for k in range(spec.ndim):
             z_inputs.append(z)
-            out = self._batch_matmul(mats[k], z)
+            out = np.matmul(mats[k], z)
             if k + 1 < spec.ndim:
                 n_next = spec.in_modes[k + 1]
                 batch = out.shape[0] * spec.out_modes[k]
@@ -203,9 +197,9 @@ class TTLinear(LinearMap):
                                 spec.out_modes[-1] * spec.ranks[-1], last.shape[2])
         for k in range(d - 1, -1, -1):
             m, n, r_prev, r_next = spec.core_shape(k)
-            dmat = self._accum_outer(dout, z_inputs[k])
+            dmat = np.tensordot(dout, z_inputs[k], axes=((0, 2), (0, 2)))
             self.grad_cores[k] += dmat.reshape(m, r_next, r_prev, n).transpose(0, 3, 2, 1)
-            dz = self._batch_matmul(np.ascontiguousarray(mats[k].T), dout)
+            dz = np.matmul(mats[k].T, dout)
             if k > 0:
                 prev = z_inputs[k - 1]
                 dout = dz.reshape(prev.shape[0],

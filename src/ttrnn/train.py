@@ -18,7 +18,7 @@ from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .errors import ConfigError, NumericError
 from .models import build_classifier, build_predictor, model_report
-from .optim import Adam, clip_global_norm
+from .optim import Adam, clip_global_norm, global_norm
 from .tasks import bernoulli_frame_nll, frame_counts, softmax_cross_entropy
 
 N_CLASSES = 10
@@ -197,7 +197,8 @@ def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
     Artifacts land in ``out_dir`` (default ``cfg.out_dir``): the resolved
     config, the run log, and ``best.ttcp``/``last.ttcp`` checkpoints. With
     ``epochs = 0`` only the model report (and an untrained checkpoint for
-    inspection) is produced. A non-finite loss aborts with a diagnostic.
+    inspection) is produced. A non-finite loss or gradient norm aborts with a
+    diagnostic before the weights are touched.
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -258,7 +259,16 @@ def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
                     f"try a lower lr or enable clip_norm")
             grads = model.grads()
             if cfg.clip_norm > 0.0:
-                clip_global_norm(grads, cfg.clip_norm)
+                norm = clip_global_norm(grads, cfg.clip_norm)
+            else:
+                norm = global_norm(grads)
+            if not np.isfinite(norm):
+                log.comment(f"abort: non-finite gradient norm {norm} at epoch "
+                            f"{epoch} batch {i}")
+                log.close()
+                raise NumericError(
+                    f"non-finite gradient norm {norm} at epoch {epoch} "
+                    f"batch {i}; try a lower lr")
             optimizer.step(grads)
             loss_sum += loss * weight
             weight_sum += weight

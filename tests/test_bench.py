@@ -9,14 +9,12 @@ from ttrnn import DataError, ShapeError, SizeError, TTSpec
 from ttrnn.bench import (
     BenchPoint,
     balanced_modes,
-    compare_backend_times,
     dense_work_bytes,
     fit_loglog_slope,
     measure_dense,
     run_scaling_sweep,
     tt_work_bytes,
 )
-from ttrnn.kernels import HAVE_NUMBA
 
 
 class TestBalancedModes:
@@ -125,9 +123,3 @@ class TestSweep:
         (a,) = run_scaling_sweep("dense", [512], batch=64, seed=1)
         (b,) = run_scaling_sweep("dense", [512], batch=128, seed=1)
         assert 1.5 <= b.fwd_seconds / a.fwd_seconds <= 2.8
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-    def test_backend_comparison_runs_both(self):
-        pts = compare_backend_times(256, batch=2, seed=0)
-        assert [p.family for p in pts] == ["tt-numpy", "tt-numba"]
-        assert all(p.fwd_seconds > 0 for p in pts)

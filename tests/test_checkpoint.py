@@ -194,3 +194,32 @@ class TestCorruption:
             ckpt.ttmap("arr:cell.bias_h")
         with pytest.raises(FormatError, match="not an array"):
             ckpt.array("map:cell.wxh")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import ttrnn.checkpoint as C
+
+        path = tmp_path / "best.ttcp"
+        save_checkpoint(path, tt_classifier(seed=0), config_text="k = v\n")
+        before = path.read_bytes()
+
+        real_write_str = C._write_str
+        calls = []
+
+        def failing_write_str(fh, text):
+            calls.append(text)
+            if len(calls) == 3:  # header and first record already written
+                raise OSError("disk full")
+            real_write_str(fh, text)
+
+        monkeypatch.setattr(C, "_write_str", failing_write_str)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tt_classifier(seed=1), config_text="k = w\n")
+
+        assert path.read_bytes() == before
+        assert read_checkpoint(path).config_text == "k = v\n"
+        restored = tt_classifier(seed=5)
+        load_into_model(read_checkpoint(path), restored)
+        assert params_equal(restored, tt_classifier(seed=0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ttcp"]

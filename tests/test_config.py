@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from ttrnn.config import TrainConfig, parse_kv
+from ttrnn.config import BenchConfig, TrainConfig, parse_kv
 from ttrnn.errors import ConfigError
 
 
@@ -142,3 +144,21 @@ class TestResolvedDump:
         assert len(h1) == 12
         other = TrainConfig.from_dict({"epochs": "6"})
         assert other.digest() != h1
+
+
+def test_bench_digest_is_of_resolved_values():
+    # Comments and spelled-out defaults do not change the hash.
+    a = BenchConfig.from_dict(parse_kv("# sweep\nsizes = 64,128\n"))
+    b = BenchConfig.from_dict({"sizes": "64x128", "rank": "4"})
+    assert a.digest() == b.digest()
+    assert BenchConfig.from_dict({"sizes": "64"}).digest() != a.digest()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    cls = BenchConfig if path.name == "bench.cfg" else TrainConfig
+    cfg = cls.from_file(path)
+    assert cls.from_dict(parse_kv(cfg.to_text())) == cfg

@@ -6,7 +6,6 @@ import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import DenseLinear, ShapeError, TTLinear, TTMatrix, TTSpec
-from ttrnn.kernels import HAVE_NUMBA, get_kernels
 
 
 def make_tt_layer(out_modes, in_modes, ranks, seed=0, bias=True):
@@ -171,29 +170,3 @@ class TestParams:
         assert layer.param_count() == 600 + 100
         dense = DenseLinear.glorot(100, 32, np.random.default_rng(0))
         assert dense.param_count() == 3200 + 100
-
-
-class TestBackends:
-    def test_numpy_kernels_are_reference(self):
-        bm, ao = get_kernels("numpy")
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((4, 6))
-        z = rng.standard_normal((5, 6, 3))
-        out = bm(w, z)
-        for i in range(5):
-            np.testing.assert_allclose(out[i], w @ z[i], rtol=1e-13, atol=1e-13)
-        d = rng.standard_normal((5, 4, 3))
-        acc = ao(d, z)
-        want = sum(d[i] @ z[i].T for i in range(5))
-        np.testing.assert_allclose(acc, want, rtol=1e-13, atol=1e-13)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-    def test_numba_matches_numpy(self):
-        bm_np, ao_np = get_kernels("numpy")
-        bm_nb, ao_nb = get_kernels("numba")
-        rng = np.random.default_rng(1)
-        w = np.ascontiguousarray(rng.standard_normal((7, 10)))
-        z = np.ascontiguousarray(rng.standard_normal((4, 10, 6)))
-        d = np.ascontiguousarray(rng.standard_normal((4, 7, 6)))
-        np.testing.assert_allclose(bm_nb(w, z), bm_np(w, z), rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(ao_nb(d, z), ao_np(d, z), rtol=1e-13, atol=1e-13)

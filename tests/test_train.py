@@ -207,6 +207,30 @@ class TestTrainRun:
             with np.errstate(all="ignore"):
                 train_run(cfg)
 
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+    def test_nonfinite_grads_abort_before_step(self, tmp_path, monkeypatch,
+                                               clip_norm):
+        import ttrnn.train as T
+
+        real = T.batch_loss_and_grads
+        seen = {}
+
+        def nan_grads(model, batch, classify):
+            loss, weight = real(model, batch, classify)
+            seen["model"] = model
+            seen["before"] = {k: p.copy() for k, p in model.params().items()}
+            next(iter(model.grads().values()))[...] = np.nan
+            return loss, weight
+
+        monkeypatch.setattr(T, "batch_loss_and_grads", nan_grads)
+        cfg = mnist_cfg(tmp_path, epochs=1, clip_norm=clip_norm)
+        with pytest.raises(NumericError, match="gradient norm"):
+            train_run(cfg)
+        after = seen["model"].params()
+        assert all(np.array_equal(after[k], v) for k, v in seen["before"].items())
+        log_text = (tmp_path / "run" / "run.log").read_text()
+        assert "# abort: non-finite gradient norm nan" in log_text
+
     def test_early_stop_with_flat_validation(self, tmp_path):
         # lr 0 freezes the model, so validation never improves after
         # epoch 1 and patience 1 stops the run at epoch 2.
