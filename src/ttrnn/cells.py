@@ -11,6 +11,12 @@ Padded timesteps are handled by a per-step {0,1} mask: a masked-out step
 leaves the hidden state untouched and contributes nothing to any gradient,
 so batches of unequal-length sequences train exactly as if each sequence
 were processed alone.
+
+A step reads its maps from a dict keyed like ``named_maps()``. ``Cell.step``
+passes the cell's own maps; :func:`unroll` passes the execution plan of
+:func:`ttrnn.linear.execution_plan`, in which small TT maps are dense views
+built once for the whole sequence, and :func:`bptt` flushes those views'
+accumulated gradients into the cores when it is done.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .linear import LinearMap
+from .linear import DenseView, LinearMap, execution_plan
 
 
 def sigmoid(x):
@@ -54,11 +60,17 @@ class Cell:
 
     def step(self, x_t, h_prev, mask_t=None):
         """One timestep: returns ``(h_t, cache)``."""
-        raise NotImplementedError
+        return self._step(self.named_maps(), x_t, h_prev, mask_t)
 
     def step_backward(self, grad_h, cache):
         """Backward through one step: returns ``(grad_x_t, grad_h_prev)``
         and accumulates parameter gradients."""
+        return self._step_backward(self.named_maps(), grad_h, cache)
+
+    def _step(self, maps, x_t, h_prev, mask_t):
+        raise NotImplementedError
+
+    def _step_backward(self, maps, grad_h, cache):
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -102,12 +114,12 @@ class SRNNCell(Cell):
             raise ShapeError(f"bias must have shape ({self.hidden_dim},)")
         self.grad_bias = np.zeros_like(self.bias)
 
-    def step(self, x_t, h_prev, mask_t=None):
+    def _step(self, maps, x_t, h_prev, mask_t):
         x_t = _check_state(x_t, self.input_dim, "x_t")
         h_prev = _check_state(h_prev, self.hidden_dim, "h_prev")
         mask = _check_mask(mask_t, x_t.shape[0])
-        ax, cx = self.wx.forward_cached(x_t)
-        ah, ch = self.wh.forward_cached(h_prev)
+        ax, cx = maps["wx"].forward_cached(x_t)
+        ah, ch = maps["wh"].forward_cached(h_prev)
         cand = np.tanh(ax + ah + self.bias)
         if mask is None:
             h_t = cand
@@ -115,7 +127,7 @@ class SRNNCell(Cell):
             h_t = mask * cand + (1.0 - mask) * h_prev
         return h_t, (cx, ch, cand, mask)
 
-    def step_backward(self, grad_h, cache):
+    def _step_backward(self, maps, grad_h, cache):
         cx, ch, cand, mask = cache
         grad_h = _check_state(grad_h, self.hidden_dim, "grad_h")
         if mask is None:
@@ -125,8 +137,8 @@ class SRNNCell(Cell):
             da = mask * grad_h * (1.0 - cand * cand)
             skip = (1.0 - mask) * grad_h
         self.grad_bias += da.sum(axis=0)
-        grad_x = self.wx.backward(da, cx)
-        grad_h_prev = self.wh.backward(da, ch) + skip
+        grad_x = maps["wx"].backward(da, cx)
+        grad_h_prev = maps["wh"].backward(da, ch) + skip
         return grad_x, grad_h_prev
 
     def params(self):
@@ -185,19 +197,19 @@ class GRUCell(Cell):
             self.bias[g] = b
             self.grad_bias[g] = np.zeros_like(b)
 
-    def step(self, x_t, h_prev, mask_t=None):
+    def _step(self, maps, x_t, h_prev, mask_t):
         x_t = _check_state(x_t, self.input_dim, "x_t")
         h_prev = _check_state(h_prev, self.hidden_dim, "h_prev")
         mask = _check_mask(mask_t, x_t.shape[0])
-        ar, cxr = self.wx["r"].forward_cached(x_t)
-        br, chr_ = self.wh["r"].forward_cached(h_prev)
+        ar, cxr = maps["wxr"].forward_cached(x_t)
+        br, chr_ = maps["whr"].forward_cached(h_prev)
         r = sigmoid(ar + br + self.bias["r"])
-        az, cxz = self.wx["z"].forward_cached(x_t)
-        bz, chz = self.wh["z"].forward_cached(h_prev)
+        az, cxz = maps["wxz"].forward_cached(x_t)
+        bz, chz = maps["whz"].forward_cached(h_prev)
         z = sigmoid(az + bz + self.bias["z"])
         s = r * h_prev
-        ac, cxh = self.wx["h"].forward_cached(x_t)
-        bc, chh = self.wh["h"].forward_cached(s)
+        ac, cxh = maps["wxh"].forward_cached(x_t)
+        bc, chh = maps["whh"].forward_cached(s)
         c = np.tanh(ac + bc + self.bias["h"])
         h_new = (1.0 - z) * h_prev + z * c
         if mask is None:
@@ -207,7 +219,7 @@ class GRUCell(Cell):
         cache = (cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev, mask)
         return h_t, cache
 
-    def step_backward(self, grad_h, cache):
+    def _step_backward(self, maps, grad_h, cache):
         cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev, mask = cache
         grad_h = _check_state(grad_h, self.hidden_dim, "grad_h")
         if mask is None:
@@ -222,20 +234,20 @@ class GRUCell(Cell):
         # Candidate branch (tanh).
         dac = dc * (1.0 - c * c)
         self.grad_bias["h"] += dac.sum(axis=0)
-        grad_x = self.wx["h"].backward(dac, cxh)
-        ds = self.wh["h"].backward(dac, chh)
+        grad_x = maps["wxh"].backward(dac, cxh)
+        ds = maps["whh"].backward(dac, chh)
         dr = ds * h_prev
         dh_prev = dh_prev + ds * r
         # Update gate (sigmoid).
         daz = dz * z * (1.0 - z)
         self.grad_bias["z"] += daz.sum(axis=0)
-        grad_x += self.wx["z"].backward(daz, cxz)
-        dh_prev += self.wh["z"].backward(daz, chz)
+        grad_x += maps["wxz"].backward(daz, cxz)
+        dh_prev += maps["whz"].backward(daz, chz)
         # Reset gate (sigmoid).
         dar = dr * r * (1.0 - r)
         self.grad_bias["r"] += dar.sum(axis=0)
-        grad_x += self.wx["r"].backward(dar, cxr)
-        dh_prev += self.wh["r"].backward(dar, chr_)
+        grad_x += maps["wxr"].backward(dar, cxr)
+        dh_prev += maps["whr"].backward(dar, chr_)
         return grad_x, dh_prev + skip
 
     def params(self):
@@ -270,6 +282,8 @@ def unroll(cell: Cell, x_seq, mask=None, h0=None):
 
     Returns ``(h_seq, caches)`` with ``h_seq`` of shape (T, B, H);
     ``caches`` feeds :func:`bptt`. ``mask``, if given, has shape (T, B).
+    The cell's maps run through one execution plan for the whole sequence
+    (see :func:`ttrnn.linear.execution_plan`); ``caches`` holds it.
     """
     x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
@@ -287,13 +301,14 @@ def unroll(cell: Cell, x_seq, mask=None, h0=None):
         h = np.zeros((batch, cell.hidden_dim))
     else:
         h = _check_state(h0, cell.hidden_dim, "h0")
+    maps = execution_plan(cell.named_maps())
     h_seq = np.empty((steps, batch, cell.hidden_dim))
     caches = []
     for t in range(steps):
-        h, cache = cell.step(x_seq[t], h, None if mask is None else mask[t])
+        h, cache = cell._step(maps, x_seq[t], h, None if mask is None else mask[t])
         h_seq[t] = h
         caches.append(cache)
-    return h_seq, caches
+    return h_seq, (maps, caches)
 
 
 def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
@@ -302,17 +317,23 @@ def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
     ``grad_h_seq`` (T, B, H) carries per-timestep gradients from losses that
     read every hidden state; ``grad_h_last`` (B, H) adds a gradient on the
     final state only. At least one must be given. Parameter gradients
-    accumulate into the cell; returns ``grad_x_seq`` of shape (T, B, D).
+    accumulate into the cell, those of dense-plan maps when the sweep back
+    through time is done; returns ``grad_x_seq`` of shape (T, B, D).
     """
-    steps = len(caches)
     if grad_h_seq is None and grad_h_last is None:
         raise ShapeError("need grad_h_seq and/or grad_h_last")
+    maps, step_caches = caches
+    steps = len(step_caches)
     carry = 0.0 if grad_h_last is None else np.asarray(grad_h_last, dtype=np.float64)
     grad_x_seq = None
     for t in range(steps - 1, -1, -1):
         g = carry if grad_h_seq is None else grad_h_seq[t] + carry
-        grad_x, carry = cell.step_backward(np.asarray(g, dtype=np.float64), caches[t])
+        grad_x, carry = cell._step_backward(maps, np.asarray(g, dtype=np.float64),
+                                            step_caches[t])
         if grad_x_seq is None:
             grad_x_seq = np.empty((steps,) + grad_x.shape)
         grad_x_seq[t] = grad_x
+    for m in maps.values():
+        if isinstance(m, DenseView):
+            m.flush()
     return grad_x_seq

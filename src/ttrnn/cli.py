@@ -23,6 +23,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
+from .linear import takes_dense_plan
 from .tasks import ModelReport
 from .train import build_model, evaluate, load_split, make_eval_batches, train_run
 
@@ -119,9 +120,11 @@ def _describe_record(ckpt, name: str, kind: int):
         tt, bias = ckpt.ttmap(name)
         spec = tt.spec
         count = spec.param_count() + (0 if bias is None else spec.out_dim)
+        plan = "dense" if takes_dense_plan(spec) else "sweep"
         desc = (f"tt modes {'x'.join(map(str, spec.out_modes))} by "
                 f"{'x'.join(map(str, spec.in_modes))} "
-                f"ranks {'-'.join(map(str, spec.ranks))} params {count}")
+                f"ranks {'-'.join(map(str, spec.ranks))} params {count} "
+                f"plan {plan}")
         return count, desc
     arr = ckpt.array(name)
     shape = "x".join(map(str, arr.shape)) if arr.ndim else "scalar"

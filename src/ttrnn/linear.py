@@ -11,7 +11,7 @@ Caches are explicit values rather than hidden layer state so a recurrent
 unroll can apply one layer at many timesteps and replay the caches in
 reverse order during backpropagation.
 
-The TT forward never materializes the full matrix. With ``x`` of shape
+``TTLinear.forward`` never materializes the full matrix. With ``x`` of shape
 ``(B, N)`` it sweeps the cores left to right, carrying a batched tensor ``z``
 of shape ``(B * P_k, r_{k-1} * n_k, Q_k)`` where ``P_k`` is the product of
 output modes already consumed and ``Q_k`` the product of input modes not yet
@@ -23,6 +23,20 @@ bearing. Cost is O(d r^2 m max(M, N)) per sample instead of O(M N).
 The backward pass replays the same chain in reverse with the cached ``z``
 inputs, so parameter and input gradients are exact (they are the analytic
 derivatives of the contraction, not an approximation).
+
+A recurrent unroll applies each cell map T times to the same weights, so
+for small maps it pays to build the matrix once. :func:`execution_plan`
+picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
+
+* **sweep**: the map itself, one core sweep per step;
+* **dense**: a :class:`DenseView`, which runs the map's own sweep once on
+  the identity to get ``W.T``, then costs one matmul per step, accumulates
+  ``dW.T`` over the steps and projects it onto the core gradients with one
+  backward sweep in :meth:`DenseView.flush`.
+
+Both plans are exact: the dense one reuses the sweep and its backward pass,
+so it differs from the sweep only in rounding. :func:`takes_dense_plan`
+holds the rule.
 """
 
 from __future__ import annotations
@@ -125,7 +139,8 @@ class DenseLinear(LinearMap):
 
 
 class TTLinear(LinearMap):
-    """y = x @ W.T (+ b) with W held in TT format and never materialized."""
+    """y = x @ W.T (+ b) with W held in TT format; its own passes never
+    materialize W (a :class:`DenseView` does, through them)."""
 
     def __init__(self, tt: TTMatrix, bias=None):
         self.tt = tt
@@ -219,3 +234,60 @@ class TTLinear(LinearMap):
         if self.grad_bias is not None:
             out["bias"] = self.grad_bias
         return out
+
+
+# Largest M * N the dense plan will hold (512 KiB of float64 for W.T and as
+# much again for its gradient).
+DENSE_PLAN_CAP = 1 << 16
+
+
+def takes_dense_plan(spec: TTSpec) -> bool:
+    """The execution-plan rule: dense iff ``M * N <= DENSE_PLAN_CAP`` and
+    ``M * N <= spec.flops_per_row()``.
+
+    Per row the dense plan's matmul costs ``2 M N`` flops and the sweep
+    ``F = flops_per_row()``, so the rule admits dense plans of up to twice
+    the sweep's flops. Maps that small are bound by per-call overhead (d
+    batched matmuls and their reshapes against one matmul), and the cap
+    keeps ``W.T`` and its gradient small; large maps keep the sweep.
+    """
+    size = spec.dense_param_count()
+    return size <= DENSE_PLAN_CAP and size <= spec.flops_per_row()
+
+
+class DenseView:
+    """A biasless :class:`TTLinear` materialized for one unroll.
+
+    ``forward_cached``/``backward`` follow the :class:`LinearMap` contract,
+    except that parameter gradients collect in ``grad_wt`` (``dW.T``) until
+    :meth:`flush` hands them to the layer's core gradients.
+    """
+
+    def __init__(self, layer: TTLinear):
+        self.layer = layer
+        # Row i of eye @ W.T is column i of W: W.T through the exact sweep.
+        self.wt, self._eye_cache = layer.forward_cached(np.eye(layer.in_dim))
+        self.grad_wt = np.zeros_like(self.wt)
+
+    def forward_cached(self, x):
+        return x @ self.wt, x
+
+    def backward(self, grad_out, cache):
+        self.grad_wt += cache.T @ grad_out
+        return grad_out @ self.wt.T
+
+    def flush(self):
+        """Add the accumulated gradient to the layer's core gradients with
+        one backward sweep, and start accumulating again from zero."""
+        self.layer.backward(self.grad_wt, self._eye_cache)
+        self.grad_wt[...] = 0.0
+
+
+def execution_plan(maps: dict) -> dict:
+    """``maps`` with each TT map the rule picks replaced by a fresh
+    :class:`DenseView`; every other map stands for itself (the sweep)."""
+    return {
+        name: DenseView(m)
+        if isinstance(m, TTLinear) and takes_dense_plan(m.tt.spec) else m
+        for name, m in maps.items()
+    }

@@ -91,6 +91,21 @@ class TTSpec:
         """Floats a plain dense matrix of the same shape would store."""
         return self.out_dim * self.in_dim
 
+    def flops_per_row(self) -> int:
+        """Multiply-adds (counted as 2 flops) of the forward core sweep per
+        input row: ``sum_k 2 P_k m_k r_k r_{k-1} n_k Q_k`` with ``P_k`` the
+        product of the output modes before core k and ``Q_k`` the product
+        of the input modes after it."""
+        total = 0
+        p = 1
+        q = self.in_dim
+        for k in range(self.ndim):
+            m, n, r_prev, r_next = self.core_shape(k)
+            q //= n
+            total += 2 * p * m * r_next * r_prev * n * q
+            p *= m
+        return total
+
 
 class TTMatrix:
     """A concrete TT matrix: a :class:`TTSpec` plus its core arrays."""

@@ -5,7 +5,7 @@ suite)."""
 import numpy as np
 import pytest
 
-from ttrnn import DataError, ShapeError, SizeError, TTSpec
+from ttrnn import DataError, ShapeError, SizeError, TTSpec, bench
 from ttrnn.bench import (
     BenchPoint,
     balanced_modes,
@@ -117,6 +117,15 @@ class TestSweep:
             run_scaling_sweep("tt", [64], reps=5)
         with pytest.raises(DataError):
             run_scaling_sweep("fft", [64])
+
+    def test_slow_spell_does_not_become_the_time(self, monkeypatch):
+        # 11 of 20 calls inside a slow spell make a plain median read the
+        # spell; the fastest of the three block medians reads the code.
+        durations = [0.024] * 11 + [0.00086] * 9
+        ticks = [0.0] + [x for d in durations for x in (d, 0.0)]
+        clock = iter(np.cumsum(ticks))
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(clock))
+        assert bench._median_time(lambda: None, 20, 0) == pytest.approx(0.00086)
 
     def test_batch_doubling_scales_time(self):
         # Linearity in batch size, wide band for timer noise.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttrnn import ShapeError
+from ttrnn import ShapeError, TTSpec, linear
 from ttrnn.cells import GRUCell, SRNNCell, bptt, sigmoid, unroll
 from ttrnn.models import make_cell
 from ttrnn.tasks import cell_param_count
@@ -30,6 +30,37 @@ def tt_gru(seed=0):
 
 
 ALL_CELLS = [dense_srnn, tt_srnn, dense_gru, tt_gru]
+PLANS = ("dense", "sweep")
+
+
+def force_plan(monkeypatch, plan):
+    """Make every TT cell map take ``plan``, whatever the rule says."""
+    monkeypatch.setattr(linear, "takes_dense_plan", lambda spec: plan == "dense")
+
+
+def check_unroll_against_finite_differences(cell):
+    rng = np.random.default_rng(9)
+    steps, batch = 4, 3
+    x_seq = rng.standard_normal((steps, batch, cell.input_dim))
+    mask = np.ones((steps, batch))
+    mask[2, 1] = 0.0  # one padded step mid-sequence
+    mask[3, 2] = 0.0
+    proj_seq = rng.standard_normal((steps, batch, cell.hidden_dim))
+    proj_last = rng.standard_normal((batch, cell.hidden_dim))
+
+    def loss():
+        h_seq, _ = unroll(cell, x_seq, mask=mask)
+        return float(np.sum(h_seq * proj_seq) + np.sum(h_seq[-1] * proj_last))
+
+    h_seq, caches = unroll(cell, x_seq, mask=mask)
+    cell.zero_grads()
+    grad_x = bptt(cell, caches, grad_h_seq=proj_seq, grad_h_last=proj_last)
+
+    params = cell.params()
+    grads = cell.grads()
+    for name in params:
+        assert_grads_close(grads[name], numeric_grad(loss, params[name]))
+    assert_grads_close(grad_x, numeric_grad(loss, x_seq))
 
 
 def test_sigmoid_stable_and_correct():
@@ -85,29 +116,14 @@ class TestReferenceEquations:
 class TestBPTTGradients:
     @pytest.mark.parametrize("factory", ALL_CELLS, ids=lambda f: f.__name__)
     def test_full_unroll_matches_finite_differences(self, factory):
-        cell = factory(seed=7)
-        rng = np.random.default_rng(9)
-        steps, batch = 4, 3
-        x_seq = rng.standard_normal((steps, batch, cell.input_dim))
-        mask = np.ones((steps, batch))
-        mask[2, 1] = 0.0  # one padded step mid-sequence
-        mask[3, 2] = 0.0
-        proj_seq = rng.standard_normal((steps, batch, cell.hidden_dim))
-        proj_last = rng.standard_normal((batch, cell.hidden_dim))
+        check_unroll_against_finite_differences(factory(seed=7))
 
-        def loss():
-            h_seq, _ = unroll(cell, x_seq, mask=mask)
-            return float(np.sum(h_seq * proj_seq) + np.sum(h_seq[-1] * proj_last))
-
-        h_seq, caches = unroll(cell, x_seq, mask=mask)
-        cell.zero_grads()
-        grad_x = bptt(cell, caches, grad_h_seq=proj_seq, grad_h_last=proj_last)
-
-        params = cell.params()
-        grads = cell.grads()
-        for name in params:
-            assert_grads_close(grads[name], numeric_grad(loss, params[name]))
-        assert_grads_close(grad_x, numeric_grad(loss, x_seq))
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_tt_unroll_matches_finite_differences_under_each_plan(
+            self, factory, plan, monkeypatch):
+        force_plan(monkeypatch, plan)
+        check_unroll_against_finite_differences(factory(seed=7))
 
     @pytest.mark.parametrize("factory", [dense_srnn, dense_gru],
                              ids=lambda f: f.__name__)
@@ -229,3 +245,93 @@ class TestUnrollErrors:
         _, caches = unroll(cell, np.zeros((2, 1, 3)))
         with pytest.raises(ShapeError):
             bptt(cell, caches)
+
+
+def row_tt_gru(seed=0):
+    # The mnist-row-ttgru cell: 100 = 10x10 hidden, 32 = 4x8 input, rank 3.
+    return make_cell("gru", 32, 100, np.random.default_rng(seed),
+                     in_modes=(4, 8), hidden_modes=(10, 10), rank=3)
+
+
+def row_tt_srnn(seed=0):
+    return make_cell("srnn", 32, 100, np.random.default_rng(seed),
+                     in_modes=(4, 8), hidden_modes=(10, 10), rank=3)
+
+
+class TestExecutionPlans:
+    @staticmethod
+    def run(cell, x_seq, mask, proj_seq):
+        h_seq, caches = unroll(cell, x_seq, mask=mask)
+        cell.zero_grads()
+        grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
+        return h_seq, grad_x, {k: v.copy() for k, v in cell.grads().items()}
+
+    @pytest.mark.parametrize("factory", [row_tt_srnn, row_tt_gru],
+                             ids=lambda f: f.__name__)
+    def test_dense_and_sweep_plans_agree(self, factory, monkeypatch):
+        cell = factory(seed=3)
+        rng = np.random.default_rng(5)
+        x_seq = rng.standard_normal((6, 4, cell.input_dim))
+        mask = np.ones((6, 4))
+        mask[4:, 1] = 0.0
+        proj_seq = rng.standard_normal((6, 4, cell.hidden_dim))
+        out = {}
+        for plan in PLANS:
+            force_plan(monkeypatch, plan)
+            out[plan] = self.run(cell, x_seq, mask, proj_seq)
+        (h_d, gx_d, g_d), (h_s, gx_s, g_s) = out["dense"], out["sweep"]
+        np.testing.assert_allclose(h_d, h_s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx_d, gx_s, rtol=0, atol=1e-12)
+        assert set(g_d) == set(g_s)
+        for name in g_d:
+            np.testing.assert_allclose(g_d[name], g_s[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_bptt_twice_adds_twice_the_gradient(self, factory, plan, monkeypatch):
+        # The dense plan zeroes its accumulated dW.T when it flushes; a
+        # second bptt over the same caches must add the same amount again.
+        force_plan(monkeypatch, plan)
+        cell = factory(seed=4)
+        rng = np.random.default_rng(6)
+        x_seq = rng.standard_normal((3, 2, cell.input_dim))
+        proj = rng.standard_normal((2, cell.hidden_dim))
+        _, caches = unroll(cell, x_seq)
+        cell.zero_grads()
+        gx_once = bptt(cell, caches, grad_h_last=proj)
+        once = {k: v.copy() for k, v in cell.grads().items()}
+        gx_twice = bptt(cell, caches, grad_h_last=proj)
+        np.testing.assert_array_equal(gx_twice, gx_once)
+        for name, g in cell.grads().items():
+            assert np.any(once[name] != 0.0), name
+            np.testing.assert_allclose(g, 2.0 * once[name], rtol=1e-14, atol=0,
+                                       err_msg=name)
+
+    def test_flops_per_row_counts_each_core_step(self):
+        # 100x100 rank 3: each of the two cores costs 2 * 10 * 3 * 10 * 10.
+        spec = TTSpec.with_rank((10, 10), (10, 10), 3)
+        assert spec.flops_per_row() == 12000
+        # A single core is the dense matvec.
+        assert TTSpec.with_rank((7,), (5,), 1).flops_per_row() == 2 * 35
+
+    @pytest.mark.parametrize("out_modes, in_modes, rank, plan", [
+        # mnist-row-ttgru: wx and wh of the TT-GRU-100.
+        ((10, 10), (4, 8), 3, "dense"),
+        ((10, 10), (10, 10), 3, "dense"),
+        # pianoroll-ttsrnn: 64 = 8x8 hidden, 32 = 4x8 input, rank 4.
+        ((8, 8), (4, 8), 4, "dense"),
+        ((8, 8), (8, 8), 4, "dense"),
+        # 256x256 on either side of M*N <= flops_per_row (65536 vs 32768/65536).
+        ((16, 16), (16, 16), 2, "sweep"),
+        ((16, 16), (16, 16), 4, "dense"),
+        # The benchmark's wide TT-SRNN: hidden 4096, input 256, rank 4.
+        ((16, 16, 16), (4, 8, 8), 4, "sweep"),
+        ((16, 16, 16), (16, 16, 16), 4, "sweep"),
+        # inspect-demo: hidden 1024 = 8x4x8x4, input 256 = 4x4x4x4, rank 5.
+        ((8, 4, 8, 4), (4, 4, 4, 4), 5, "sweep"),
+        ((8, 4, 8, 4), (8, 4, 8, 4), 5, "sweep"),
+    ])
+    def test_rule_picks_plan_from_shape(self, out_modes, in_modes, rank, plan):
+        spec = TTSpec.with_rank(out_modes, in_modes, rank)
+        assert ("dense" if linear.takes_dense_plan(spec) else "sweep") == plan

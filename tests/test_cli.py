@@ -214,6 +214,33 @@ class TestInspectCommand:
         assert "compression ratio: 80.95" in out
         assert "map:cell.wx: tt modes 8x4x8x4 by 4x4x4x4 ranks 1-5-5-5-1" in out
 
+    def test_each_tt_map_shows_its_plan(self, tmp_path, capsys):
+        # inspect-demo's 1024-wide maps keep the sweep ...
+        cfg = write_config(
+            tmp_path / "demo.cfg", task="pianoroll", model="srnn",
+            parameterization="tt", hidden=0, hidden_modes="8x4x8x4",
+            input_modes="4x4x4x4", proj=256, rank=5, baseline_hidden=512,
+            epochs=0, out_dir=str(tmp_path / "demo"))
+        assert main(["train", cfg]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(tmp_path / "demo" / "best.ttcp")]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("map:cell.")]
+        assert len(lines) == 2
+        assert all(ln.endswith(" plan sweep") for ln in lines)
+        # ... and the mnist-row-ttgru cell's maps are materialized.
+        fields = mnist_fields(tmp_path, model="gru", parameterization="tt",
+                              hidden=100, hidden_modes="10x10", input_modes="4x8",
+                              proj=32, rank=3, epochs=0)
+        cfg = write_config(tmp_path / "row.cfg", **fields)
+        assert main(["train", cfg]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(tmp_path / "run" / "best.ttcp")]) == 0
+        out = capsys.readouterr().out
+        assert ("map:cell.whh: tt modes 10x10 by 10x10 ranks 1-3-1 params 600 "
+                "plan dense") in out
+        assert sum(ln.endswith(" plan dense") for ln in out.splitlines()) == 6
+
     def test_dense_ratio_is_one(self, tmp_path, capsys):
         fields = mnist_fields(tmp_path, epochs=0)
         cfg = write_config(tmp_path / "c.cfg", **fields)
