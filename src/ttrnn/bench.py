@@ -15,12 +15,18 @@ Timing protocol: at least 3 warmup calls (cache warming), then at least 20
 timed repetitions in 3 consecutive blocks; the lowest block median is
 reported. On a shared host a slow spell (another process on the core) can
 cover half of a run and so become its median; it only ever adds time, so
-the fastest block is the one that measures the code. Runs are meant for a
-single-threaded worker; points are measured sequentially.
+the fastest block is the one that measures the code. Points are measured
+sequentially on one BLAS thread, so a time grows with the work and not
+with how it splits across cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 import time
 from dataclasses import dataclass
 
@@ -98,20 +104,11 @@ def _median_time(fn, reps: int, warmups: int) -> float:
 def tt_work_bytes(spec: TTSpec, batch: int) -> int:
     """Peak transient floats held by the forward sweep, in bytes.
 
-    At step k the sweep holds the incoming z (B*P_k, r_k*n_k, Q_k) and the
-    step's output (B*P_k, m_k*r_{k+1}, Q_k) at once.
+    Step k of :meth:`TTSpec.sweep_shapes` holds its input z (B*P_k,
+    r_{k-1}*n_k, Q_k) and its output (B*P_k, m_k*r_k, Q_k) at once.
     """
-    peak = 0
-    p = 1
-    q = spec.in_dim
-    for k in range(spec.ndim):
-        m, n, r_prev, r_next = spec.core_shape(k)
-        q //= n
-        z_in = batch * p * (r_prev * n) * q
-        z_out = batch * p * (m * r_next) * q
-        peak = max(peak, z_in + z_out)
-        p *= m
-    return 8 * peak
+    return 8 * max(rows * (height + width) * cols
+                   for rows, height, width, cols in spec.sweep_shapes(batch))
 
 
 def dense_work_bytes(m_dim: int, n_dim: int, batch: int) -> int:
@@ -163,10 +160,36 @@ def measure_dense(size_m: int, size_n: int, batch: int,
                       dense_work_bytes(size_m, size_n, batch))
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` thread-count calls of numpy's bundled OpenBLAS, or
+    None where that library or those symbols are missing."""
+    for path in glob.glob(os.path.dirname(np.__file__)
+                          + ".libs/libscipy_openblas64_*.so"):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_ = lib.scipy_openblas_set_num_threads64_
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def sweep_blas_threads() -> str:
+    """BLAS threads a sweep runs on: ``"1"``, or ``"unknown"`` where it
+    cannot be pinned."""
+    return "unknown" if _openblas_threads() is None else "1"
+
+
 def run_scaling_sweep(family: str, sizes, rank: int = 4, max_mode: int = 16,
                       batch: int = 16, seed: int = 0, reps: int = MIN_REPS,
                       warmups: int = MIN_WARMUPS) -> list[BenchPoint]:
     """One BenchPoint per square size M=N in ``sizes``.
+
+    numpy's bundled OpenBLAS runs on one thread for the sweep and gets its
+    old count back after; where it cannot be pinned (see
+    :func:`sweep_blas_threads`) the sweep runs as numpy is set up.
 
     Inputs are deterministic per seed; times are whatever the machine does.
     """
@@ -174,15 +197,24 @@ def run_scaling_sweep(family: str, sizes, rank: int = 4, max_mode: int = 16,
         raise DataError(f"family must be dense or tt, got {family!r}")
     if reps < MIN_REPS or warmups < MIN_WARMUPS:
         raise DataError(f"need reps >= {MIN_REPS} and warmups >= {MIN_WARMUPS}")
-    points = []
-    for size in sizes:
-        rng = np.random.default_rng(seed)
-        if family == "tt":
-            points.append(measure_tt(size, size, rank, max_mode, batch, rng,
-                                     reps, warmups))
-        else:
-            points.append(measure_dense(size, size, batch, rng, reps, warmups))
-    return points
+    calls = _openblas_threads()
+    if calls is not None:
+        threads = calls[0]()
+        calls[1](1)
+    try:
+        points = []
+        for size in sizes:
+            rng = np.random.default_rng(seed)
+            if family == "tt":
+                points.append(measure_tt(size, size, rank, max_mode, batch, rng,
+                                         reps, warmups))
+            else:
+                points.append(measure_dense(size, size, batch, rng, reps,
+                                            warmups))
+        return points
+    finally:
+        if calls is not None:
+            calls[1](threads)
 
 
 def fit_loglog_slope(pairs):

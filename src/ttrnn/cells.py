@@ -12,6 +12,10 @@ leaves the hidden state untouched and contributes nothing to any gradient,
 so batches of unequal-length sequences train exactly as if each sequence
 were processed alone.
 
+A cell lists its parts once, in ``parts()`` (SRNN: ``wx, wh, bias``; GRU:
+``wx{g}, wh{g}, bias_{g}`` per gate); :class:`ttrnn.linear.Composite` derives
+``params()``, ``grads()``, ``named_maps()`` and ``named_arrays()`` from it.
+
 A step reads its maps from a dict keyed like ``named_maps()``. ``Cell.step``
 passes the cell's own maps; :func:`unroll` passes the execution plan of
 :func:`ttrnn.linear.execution_plan`, in which small TT maps are dense views
@@ -24,19 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .linear import DenseView, LinearMap, execution_plan
+from .linear import Composite, DenseView, LinearMap, _check_batch, execution_plan
 
 
 def sigmoid(x):
     # The tanh identity is exact and bounded, so nothing can overflow.
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _check_state(h, dim: int, what: str) -> np.ndarray:
-    h = np.ascontiguousarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != dim:
-        raise ShapeError(f"{what} must have shape (B, {dim}), got {h.shape}")
-    return h
 
 
 def _check_mask(mask, batch: int):
@@ -48,11 +45,7 @@ def _check_mask(mask, batch: int):
     return mask.reshape(batch, 1)
 
 
-def _prefixed(prefix: str, d: dict) -> dict:
-    return {f"{prefix}.{k}": v for k, v in d.items()}
-
-
-class Cell:
+class Cell(Composite):
     """Interface shared by the recurrent cells."""
 
     input_dim: int
@@ -62,37 +55,13 @@ class Cell:
         """One timestep: returns ``(h_t, cache)``."""
         return self._step(self.named_maps(), x_t, h_prev, mask_t)
 
-    def step_backward(self, grad_h, cache):
-        """Backward through one step: returns ``(grad_x_t, grad_h_prev)``
-        and accumulates parameter gradients."""
-        return self._step_backward(self.named_maps(), grad_h, cache)
-
     def _step(self, maps, x_t, h_prev, mask_t):
         raise NotImplementedError
 
     def _step_backward(self, maps, grad_h, cache):
+        """Backward through one step: returns ``(grad_x_t, grad_h_prev)``
+        and accumulates parameter gradients."""
         raise NotImplementedError
-
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def grads(self) -> dict:
-        raise NotImplementedError
-
-    def named_maps(self) -> dict:
-        """Linear maps by the same names ``params()`` prefixes with."""
-        raise NotImplementedError
-
-    def named_arrays(self) -> dict:
-        """Bare parameter arrays (biases) owned by the cell itself."""
-        raise NotImplementedError
-
-    def zero_grads(self):
-        for g in self.grads().values():
-            g[...] = 0.0
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
 
 
 class SRNNCell(Cell):
@@ -115,8 +84,8 @@ class SRNNCell(Cell):
         self.grad_bias = np.zeros_like(self.bias)
 
     def _step(self, maps, x_t, h_prev, mask_t):
-        x_t = _check_state(x_t, self.input_dim, "x_t")
-        h_prev = _check_state(h_prev, self.hidden_dim, "h_prev")
+        x_t = _check_batch(x_t, self.input_dim, "x_t")
+        h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
         mask = _check_mask(mask_t, x_t.shape[0])
         ax, cx = maps["wx"].forward_cached(x_t)
         ah, ch = maps["wh"].forward_cached(h_prev)
@@ -129,7 +98,7 @@ class SRNNCell(Cell):
 
     def _step_backward(self, maps, grad_h, cache):
         cx, ch, cand, mask = cache
-        grad_h = _check_state(grad_h, self.hidden_dim, "grad_h")
+        grad_h = _check_batch(grad_h, self.hidden_dim, "grad_h")
         if mask is None:
             da = grad_h * (1.0 - cand * cand)
             skip = 0.0
@@ -141,23 +110,9 @@ class SRNNCell(Cell):
         grad_h_prev = maps["wh"].backward(da, ch) + skip
         return grad_x, grad_h_prev
 
-    def params(self):
-        out = _prefixed("wx", self.wx.params())
-        out.update(_prefixed("wh", self.wh.params()))
-        out["bias"] = self.bias
-        return out
-
-    def grads(self):
-        out = _prefixed("wx", self.wx.grads())
-        out.update(_prefixed("wh", self.wh.grads()))
-        out["bias"] = self.grad_bias
-        return out
-
-    def named_maps(self):
-        return {"wx": self.wx, "wh": self.wh}
-
-    def named_arrays(self):
-        return {"bias": self.bias}
+    def parts(self):
+        return [("wx", self.wx), ("wh", self.wh),
+                ("bias", (self.bias, self.grad_bias))]
 
 
 class GRUCell(Cell):
@@ -198,8 +153,8 @@ class GRUCell(Cell):
             self.grad_bias[g] = np.zeros_like(b)
 
     def _step(self, maps, x_t, h_prev, mask_t):
-        x_t = _check_state(x_t, self.input_dim, "x_t")
-        h_prev = _check_state(h_prev, self.hidden_dim, "h_prev")
+        x_t = _check_batch(x_t, self.input_dim, "x_t")
+        h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
         mask = _check_mask(mask_t, x_t.shape[0])
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
@@ -221,7 +176,7 @@ class GRUCell(Cell):
 
     def _step_backward(self, maps, grad_h, cache):
         cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev, mask = cache
-        grad_h = _check_state(grad_h, self.hidden_dim, "grad_h")
+        grad_h = _check_batch(grad_h, self.hidden_dim, "grad_h")
         if mask is None:
             gm = grad_h
             skip = 0.0
@@ -250,31 +205,12 @@ class GRUCell(Cell):
         dh_prev += maps["whr"].backward(dar, chr_)
         return grad_x, dh_prev + skip
 
-    def params(self):
-        out = {}
+    def parts(self):
+        out = []
         for g in self.GATES:
-            out.update(_prefixed(f"wx{g}", self.wx[g].params()))
-            out.update(_prefixed(f"wh{g}", self.wh[g].params()))
-            out[f"bias_{g}"] = self.bias[g]
+            out += [(f"wx{g}", self.wx[g]), (f"wh{g}", self.wh[g]),
+                    (f"bias_{g}", (self.bias[g], self.grad_bias[g]))]
         return out
-
-    def grads(self):
-        out = {}
-        for g in self.GATES:
-            out.update(_prefixed(f"wx{g}", self.wx[g].grads()))
-            out.update(_prefixed(f"wh{g}", self.wh[g].grads()))
-            out[f"bias_{g}"] = self.grad_bias[g]
-        return out
-
-    def named_maps(self):
-        out = {}
-        for g in self.GATES:
-            out[f"wx{g}"] = self.wx[g]
-            out[f"wh{g}"] = self.wh[g]
-        return out
-
-    def named_arrays(self):
-        return {f"bias_{g}": self.bias[g] for g in self.GATES}
 
 
 def unroll(cell: Cell, x_seq, mask=None, h0=None):
@@ -300,7 +236,7 @@ def unroll(cell: Cell, x_seq, mask=None, h0=None):
     if h0 is None:
         h = np.zeros((batch, cell.hidden_dim))
     else:
-        h = _check_state(h0, cell.hidden_dim, "h0")
+        h = _check_batch(h0, cell.hidden_dim, "h0")
     maps = execution_plan(cell.named_maps())
     h_seq = np.empty((steps, batch, cell.hidden_dim))
     caches = []

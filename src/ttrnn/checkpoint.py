@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 
@@ -77,11 +78,21 @@ def _parse_array(payload: bytes, name: str) -> np.ndarray:
     if not 0 <= ndim <= 32:
         raise FormatError(f"implausible ndim {ndim} for record {name!r}")
     shape = _read_i64(buf, ndim, f"{name} shape") if ndim else ()
-    count = int(np.prod(shape)) if ndim else 1
+    if any(dim < 0 for dim in shape):
+        raise FormatError(f"negative dimension in shape {shape} of record {name!r}")
+    # math.prod is exact where an int64 product wraps (2^32 * 2^32 -> 0), and
+    # the bound keeps the read below within the payload.
+    count = math.prod(shape)
+    if 8 * count > len(payload):
+        raise FormatError(f"record {name!r}: shape {shape} needs {8 * count} "
+                          f"data bytes, payload holds {len(payload)}")
     raw = _read_exact(buf, 8 * count, f"{name} data")
     if buf.read(1):
         raise FormatError(f"trailing bytes in record {name!r}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except ValueError as e:  # an empty array with a dimension numpy cannot index
+        raise FormatError(f"record {name!r}: shape {shape}: {e}") from None
 
 
 def _map_payload(lm: TTLinear) -> bytes:

@@ -154,14 +154,10 @@ def cmd_inspect(args) -> int:
         cfg = TrainConfig.from_dict(parse_kv(ckpt.config_text,
                                              source="<checkpoint>"))
         print(f"config hash: {cfg.digest()}")
-        tt = cfg.parameterization == "tt"
         report = ModelReport.build(
             cfg.model, cfg.cell_input_dim(), cfg.hidden,
-            in_modes=cfg.input_modes if tt else None,
-            hidden_modes=cfg.hidden_modes if tt else None,
-            rank=cfg.rank if tt else None,
             extra_params=max(0, _non_cell_total(ckpt)),
-            baseline_hidden=cfg.baseline_hidden or None,
+            baseline_hidden=cfg.baseline_hidden or None, **cfg.tt_args(),
         )
         if report.cell_params != cell_total:
             raise ShapeError(
@@ -188,6 +184,8 @@ def _non_cell_total(ckpt) -> int:
 def cmd_bench(args) -> int:
     cfg = BenchConfig.from_file(args.config)
     lines = [f"# bench config hash {cfg.digest()}"]
+    # Run context, like the times themselves; the --out report leaves it out.
+    print(f"# blas threads {B.sweep_blas_threads()}")
     families = ("tt", "dense") if cfg.family == "both" else (cfg.family,)
     for family in families:
         points = B.run_scaling_sweep(

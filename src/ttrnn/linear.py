@@ -18,7 +18,9 @@ output modes already consumed and ``Q_k`` the product of input modes not yet
 consumed. Each step is one batched matmul against the core reshaped to
 ``(m_k * r_k, r_{k-1} * n_k)``; every regrouping between steps is a plain
 C-order reshape, which is what makes the row-major index convention load
-bearing. Cost is O(d r^2 m max(M, N)) per sample instead of O(M N).
+bearing. :meth:`TTSpec.sweep_shapes` holds this schedule, and the forward
+and backward passes read their shapes from it. Cost is O(d r^2 m max(M, N))
+per sample instead of O(M N).
 
 The backward pass replays the same chain in reverse with the cached ``z``
 inputs, so parameter and input gradients are exact (they are the analytic
@@ -37,6 +39,10 @@ picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
 Both plans are exact: the dense one reuses the sweep and its backward pass,
 so it differs from the sweep only in rounding. :func:`takes_dense_plan`
 holds the rule.
+
+Every owner of trainable arrays (map, cell, model) is a :class:`Params`.
+Cells and models are :class:`Composite`: they list their parts once, in
+``parts()``, and their keys, maps and bare arrays all derive from it.
 """
 
 from __future__ import annotations
@@ -54,20 +60,22 @@ def _check_batch(x, dim: int, what: str) -> np.ndarray:
     return x
 
 
-class LinearMap:
-    """Shared interface; see module docstring for the contract."""
+def _check_bias(bias, out_dim: int):
+    if bias is None:
+        return None
+    bias = np.ascontiguousarray(bias, dtype=np.float64)
+    if bias.shape != (out_dim,):
+        raise ShapeError(f"bias must have shape ({out_dim},), got {bias.shape}")
+    return bias
 
-    in_dim: int
-    out_dim: int
 
-    def forward(self, x):
-        return self.forward_cached(x)[0]
+def _prefixed(prefix: str, d: dict) -> dict:
+    return {f"{prefix}.{k}": v for k, v in d.items()}
 
-    def forward_cached(self, x):
-        raise NotImplementedError
 
-    def backward(self, grad_out, cache):
-        raise NotImplementedError
+class Params:
+    """An owner of trainable arrays: ``params()`` and ``grads()`` map the
+    same keys, in the same order, to each array and its gradient."""
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -83,6 +91,69 @@ class LinearMap:
         return sum(p.size for p in self.params().values())
 
 
+class LinearMap(Params):
+    """Shared interface; see module docstring for the contract."""
+
+    in_dim: int
+    out_dim: int
+
+    def forward(self, x):
+        return self.forward_cached(x)[0]
+
+    def forward_cached(self, x):
+        raise NotImplementedError
+
+    def backward(self, grad_out, cache):
+        raise NotImplementedError
+
+
+class Composite(Params):
+    """An owner assembled from the ordered ``(name, part)`` list of
+    ``parts()``.
+
+    A part is a :class:`LinearMap`, a nested :class:`Composite`, or an
+    ``(array, grad)`` pair the owner holds itself (a bias). Keys are the
+    part names, dotted with the part's own keys for maps and composites, in
+    part order; that order is the one optimizers, checkpoints and reports
+    see.
+    """
+
+    def parts(self) -> list:
+        raise NotImplementedError
+
+    def _flat(self, grads: bool) -> dict:
+        out = {}
+        for name, part in self.parts():
+            if isinstance(part, tuple):
+                out[name] = part[1] if grads else part[0]
+            else:
+                out.update(_prefixed(name, part.grads() if grads else part.params()))
+        return out
+
+    def params(self):
+        return self._flat(grads=False)
+
+    def grads(self):
+        return self._flat(grads=True)
+
+    def _leaves(self, kind) -> dict:
+        out = {}
+        for name, part in self.parts():
+            if isinstance(part, Composite):
+                out.update(_prefixed(name, part._leaves(kind)))
+            elif isinstance(part, kind):
+                out[name] = part
+        return out
+
+    def named_maps(self) -> dict:
+        """Every linear map inside, under its ``params()`` prefix."""
+        return self._leaves(LinearMap)
+
+    def named_arrays(self) -> dict:
+        """Every bare parameter array inside (the biases cells own)."""
+        return {name: pair[0] for name, pair in self._leaves(tuple).items()}
+
+
 class DenseLinear(LinearMap):
     """y = x @ W.T (+ b) with an explicitly stored matrix."""
 
@@ -91,14 +162,7 @@ class DenseLinear(LinearMap):
         if self.weight.ndim != 2:
             raise ShapeError(f"weight must be 2-D, got shape {self.weight.shape}")
         self.out_dim, self.in_dim = self.weight.shape
-        if bias is None:
-            self.bias = None
-        else:
-            self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-            if self.bias.shape != (self.out_dim,):
-                raise ShapeError(
-                    f"bias must have shape ({self.out_dim},), got {self.bias.shape}"
-                )
+        self.bias = _check_bias(bias, self.out_dim)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
 
@@ -145,14 +209,7 @@ class TTLinear(LinearMap):
     def __init__(self, tt: TTMatrix, bias=None):
         self.tt = tt
         self.out_dim, self.in_dim = tt.shape
-        if bias is None:
-            self.bias = None
-        else:
-            self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-            if self.bias.shape != (self.out_dim,):
-                raise ShapeError(
-                    f"bias must have shape ({self.out_dim},), got {self.bias.shape}"
-                )
+        self.bias = _check_bias(bias, self.out_dim)
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
 
@@ -175,22 +232,15 @@ class TTLinear(LinearMap):
 
     def forward_cached(self, x):
         x = _check_batch(x, self.in_dim, "input")
-        spec = self.tt.spec
         b = x.shape[0]
         mats = self._core_matrices()
-        z = x.reshape(b, spec.ranks[0] * spec.in_modes[0],
-                      self.in_dim // spec.in_modes[0])
+        z = x
         z_inputs = []
-        for k in range(spec.ndim):
+        for mat, (rows, _, width, cols) in zip(mats, self.tt.spec.sweep_shapes(b)):
+            z = z.reshape(rows, width, cols)
             z_inputs.append(z)
-            out = np.matmul(mats[k], z)
-            if k + 1 < spec.ndim:
-                n_next = spec.in_modes[k + 1]
-                batch = out.shape[0] * spec.out_modes[k]
-                z = out.reshape(batch, spec.ranks[k + 1] * n_next,
-                                out.shape[2] // n_next)
-            else:
-                y = out.reshape(b, self.out_dim)
+            z = np.matmul(mat, z)
+        y = z.reshape(b, self.out_dim)
         if self.bias is not None:
             y = y + self.bias
         return y, (mats, z_inputs, b)
@@ -205,23 +255,17 @@ class TTLinear(LinearMap):
             )
         if self.grad_bias is not None:
             self.grad_bias += grad_out.sum(axis=0)
-        d = spec.ndim
-        # Gradient wrt the k-th sweep output, shaped like that output.
-        last = z_inputs[-1]
-        dout = grad_out.reshape(last.shape[0],
-                                spec.out_modes[-1] * spec.ranks[-1], last.shape[2])
-        for k in range(d - 1, -1, -1):
+        shapes = spec.sweep_shapes(b)
+        dz = grad_out
+        for k in range(spec.ndim - 1, -1, -1):
+            # Gradient wrt step k's output, shaped like that output.
+            rows, height, _, cols = shapes[k]
+            dout = dz.reshape(rows, height, cols)
             m, n, r_prev, r_next = spec.core_shape(k)
             dmat = np.tensordot(dout, z_inputs[k], axes=((0, 2), (0, 2)))
             self.grad_cores[k] += dmat.reshape(m, r_next, r_prev, n).transpose(0, 3, 2, 1)
             dz = np.matmul(mats[k].T, dout)
-            if k > 0:
-                prev = z_inputs[k - 1]
-                dout = dz.reshape(prev.shape[0],
-                                  spec.out_modes[k - 1] * spec.ranks[k],
-                                  prev.shape[2])
-            else:
-                return dz.reshape(b, self.in_dim)
+        return dz.reshape(b, self.in_dim)
 
     def params(self):
         out = {f"core{k}": g for k, g in enumerate(self.tt.cores)}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cells import Cell, GRUCell, SRNNCell, bptt, unroll
 from .errors import ShapeError
-from .linear import DenseLinear, LinearMap, TTLinear
+from .linear import Composite, DenseLinear, LinearMap, TTLinear
 from .tasks import (
     ModelReport,
     bernoulli_frame_nll,
@@ -62,8 +62,9 @@ def make_cell(kind: str, input_dim: int, hidden_dim: int, rng, in_modes=None,
     raise ShapeError(f"kind must be srnn or gru, got {kind!r}")
 
 
-class _ProjectedModel:
-    """Shared plumbing: projection and parameter bookkeeping."""
+class _ProjectedModel(Composite):
+    """Shared plumbing: projection and the parts list ``proj`` (when
+    present), ``cell``, ``head``."""
 
     def __init__(self, cell: Cell, head: DenseLinear, projection: DenseLinear | None):
         self.cell = cell
@@ -101,46 +102,13 @@ class _ProjectedModel:
         gx = self.projection.backward(g, proj_cache)
         return gx.reshape(steps, batch, -1)
 
-    def params(self) -> dict:
-        out = {}
-        if self.projection is not None:
-            out.update({f"proj.{k}": v for k, v in self.projection.params().items()})
-        out.update({f"cell.{k}": v for k, v in self.cell.params().items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
-
-    def grads(self) -> dict:
-        out = {}
-        if self.projection is not None:
-            out.update({f"proj.{k}": v for k, v in self.projection.grads().items()})
-        out.update({f"cell.{k}": v for k, v in self.cell.grads().items()})
-        out.update({f"head.{k}": v for k, v in self.head.grads().items()})
-        return out
-
-    def named_maps(self) -> dict:
-        """Every linear map in the model, under its ``params()`` prefix."""
-        out = {}
-        if self.projection is not None:
-            out["proj"] = self.projection
-        out.update({f"cell.{k}": v for k, v in self.cell.named_maps().items()})
-        out["head"] = self.head
-        return out
-
-    def named_arrays(self) -> dict:
-        return {f"cell.{k}": v for k, v in self.cell.named_arrays().items()}
-
-    def zero_grads(self):
-        for g in self.grads().values():
-            g[...] = 0.0
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
+    def parts(self):
+        proj = [] if self.projection is None else [("proj", self.projection)]
+        return proj + [("cell", self.cell), ("head", self.head)]
 
     def extra_param_count(self) -> int:
-        n = self.head.param_count()
-        if self.projection is not None:
-            n += self.projection.param_count()
-        return n
+        """Parameters outside the cell: projection and head."""
+        return self.param_count() - self.cell.param_count()
 
 
 class SequenceClassifier(_ProjectedModel):
@@ -199,9 +167,9 @@ class SequencePredictor(_ProjectedModel):
         return loss, logits
 
 
-def build_classifier(frame_dim: int, n_classes: int, cell_kind: str,
-                     hidden_dim: int, rng, proj_dim=None, in_modes=None,
-                     hidden_modes=None, rank=None) -> SequenceClassifier:
+def _build(model_cls, frame_dim, out_dim, cell_kind, hidden_dim, rng,
+           proj_dim, in_modes, hidden_modes, rank):
+    # The rng draws projection, cell, head in this order; seeded runs rely on it.
     proj = None
     cell_input = frame_dim
     if proj_dim is not None:
@@ -209,22 +177,21 @@ def build_classifier(frame_dim: int, n_classes: int, cell_kind: str,
         cell_input = proj_dim
     cell = make_cell(cell_kind, cell_input, hidden_dim, rng, in_modes,
                      hidden_modes, rank)
-    head = DenseLinear.glorot(n_classes, hidden_dim, rng)
-    return SequenceClassifier(cell, head, proj)
+    return model_cls(cell, DenseLinear.glorot(out_dim, hidden_dim, rng), proj)
+
+
+def build_classifier(frame_dim: int, n_classes: int, cell_kind: str,
+                     hidden_dim: int, rng, proj_dim=None, in_modes=None,
+                     hidden_modes=None, rank=None) -> SequenceClassifier:
+    return _build(SequenceClassifier, frame_dim, n_classes, cell_kind,
+                  hidden_dim, rng, proj_dim, in_modes, hidden_modes, rank)
 
 
 def build_predictor(frame_dim: int, cell_kind: str, hidden_dim: int, rng,
                     proj_dim=None, in_modes=None, hidden_modes=None,
                     rank=None) -> SequencePredictor:
-    proj = None
-    cell_input = frame_dim
-    if proj_dim is not None:
-        proj = DenseLinear.glorot(proj_dim, frame_dim, rng)
-        cell_input = proj_dim
-    cell = make_cell(cell_kind, cell_input, hidden_dim, rng, in_modes,
-                     hidden_modes, rank)
-    head = DenseLinear.glorot(frame_dim, hidden_dim, rng)
-    return SequencePredictor(cell, head, proj)
+    return _build(SequencePredictor, frame_dim, frame_dim, cell_kind,
+                  hidden_dim, rng, proj_dim, in_modes, hidden_modes, rank)
 
 
 def model_report(model: _ProjectedModel, cell_kind: str, in_modes=None,

@@ -26,13 +26,7 @@ N_CLASSES = 10
 
 def build_model(cfg: TrainConfig, rng):
     """Construct the configured model with freshly initialized weights."""
-    tt = cfg.parameterization == "tt"
-    kwargs = dict(
-        proj_dim=cfg.proj or None,
-        in_modes=cfg.input_modes if tt else None,
-        hidden_modes=cfg.hidden_modes if tt else None,
-        rank=cfg.rank if tt else None,
-    )
+    kwargs = dict(proj_dim=cfg.proj or None, **cfg.tt_args())
     if cfg.is_classification():
         return build_classifier(cfg.frame_dim(), N_CLASSES, cfg.model,
                                 cfg.hidden, rng, **kwargs)
@@ -40,14 +34,9 @@ def build_model(cfg: TrainConfig, rng):
 
 
 def report_for(cfg: TrainConfig, model):
-    tt = cfg.parameterization == "tt"
-    return model_report(
-        model, cfg.model,
-        in_modes=cfg.input_modes if tt else None,
-        hidden_modes=cfg.hidden_modes if tt else None,
-        rank=cfg.rank if tt else None,
-        baseline_hidden=cfg.baseline_hidden or None,
-    )
+    return model_report(model, cfg.model,
+                        baseline_hidden=cfg.baseline_hidden or None,
+                        **cfg.tt_args())
 
 
 def _serialize_images(dataset: D.ImageDataset, task: str, permutation):
@@ -61,7 +50,9 @@ def load_task_data(cfg: TrainConfig) -> dict:
     """Load and split data per config.
 
     Returns ``{"train": sequences, "train_labels": ..., "val": ...,
-    "val_labels": ...}`` (labels None for prediction tasks).
+    "val_labels": ..., "permutation": ...}`` (labels None for prediction
+    tasks; the pixel permutation None unless the task is mnist-permuted,
+    whose digest ``train_run`` logs).
     """
     if cfg.is_classification():
         if not cfg.images or not cfg.labels:
@@ -232,6 +223,8 @@ def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
                 "hash": digest, "model": model}
 
     dataset = load_task_data(cfg)
+    if dataset["permutation"] is not None:
+        log.comment(f"permutation {D.permutation_digest(dataset['permutation'])}")
     task = _batch_task(cfg)
     val_batches = make_eval_batches(cfg, dataset["val"], dataset["val_labels"])
 

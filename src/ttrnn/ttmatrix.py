@@ -91,20 +91,30 @@ class TTSpec:
         """Floats a plain dense matrix of the same shape would store."""
         return self.out_dim * self.in_dim
 
-    def flops_per_row(self) -> int:
-        """Multiply-adds (counted as 2 flops) of the forward core sweep per
-        input row: ``sum_k 2 P_k m_k r_k r_{k-1} n_k Q_k`` with ``P_k`` the
-        product of the output modes before core k and ``Q_k`` the product
-        of the input modes after it."""
-        total = 0
-        p = 1
+    def sweep_shapes(self, batch: int) -> list[tuple[int, int, int, int]]:
+        """The core sweep's schedule on ``batch`` input rows.
+
+        Entry k is ``(B P_k, m_k r_k, r_{k-1} n_k, Q_k)``: step k multiplies
+        core k, as an ``(m_k r_k, r_{k-1} n_k)`` matrix, into a stack of
+        ``B P_k`` blocks ``(r_{k-1} n_k, Q_k)`` and yields blocks
+        ``(m_k r_k, Q_k)``. ``P_k`` is the product of the output modes
+        before core k, ``Q_k`` that of the input modes after it.
+        """
+        shapes = []
+        p = batch
         q = self.in_dim
         for k in range(self.ndim):
             m, n, r_prev, r_next = self.core_shape(k)
             q //= n
-            total += 2 * p * m * r_next * r_prev * n * q
+            shapes.append((p, m * r_next, r_prev * n, q))
             p *= m
-        return total
+        return shapes
+
+    def flops_per_row(self) -> int:
+        """Multiply-adds (counted as 2 flops) of the forward core sweep per
+        input row: ``sum_k 2 P_k m_k r_k r_{k-1} n_k Q_k`` over
+        :meth:`sweep_shapes`."""
+        return sum(2 * math.prod(s) for s in self.sweep_shapes(1))
 
 
 class TTMatrix:

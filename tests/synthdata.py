@@ -1,7 +1,11 @@
-"""Synthetic datasets shared by the training, CLI, and acceptance tests."""
+"""Synthetic datasets and files shared by the training, checkpoint, CLI,
+and acceptance tests."""
+
+import struct
 
 import numpy as np
 
+from ttrnn.checkpoint import KIND_ARRAY, MAGIC, VERSION
 from ttrnn.data import ImageDataset, PianoRollDataset, write_idx, write_pianoroll
 
 
@@ -73,3 +77,18 @@ def write_pianoroll_fixture(dir_path, n_songs: int = 8, length: int = 40,
     path = str(dir_path / name)
     write_pianoroll(path, periodic_songs(n_songs, length))
     return path
+
+
+def write_array_record_checkpoint(path, shape, data=(), name="arr:cell.bias"):
+    """A checkpoint holding one array record whose header claims ``shape``
+    and whose data is the float64 values ``data``, with no config text."""
+    def text(s: str) -> bytes:
+        raw = s.encode("utf-8")
+        return struct.pack("<q", len(raw)) + raw
+
+    payload = (struct.pack(f"<{1 + len(shape)}q", len(shape), *shape)
+               + np.asarray(data, dtype="<f8").tobytes())
+    path.write_bytes(MAGIC + struct.pack("<q", VERSION) + text("")
+                     + struct.pack("<q", 1) + text(name)
+                     + struct.pack("<qq", KIND_ARRAY, len(payload)) + payload)
+    return str(path)

@@ -127,6 +127,38 @@ class TestSweep:
         monkeypatch.setattr(bench.time, "perf_counter", lambda: next(clock))
         assert bench._median_time(lambda: None, 20, 0) == pytest.approx(0.00086)
 
+    def test_sweep_pins_one_blas_thread_and_restores(self, monkeypatch):
+        count = [2]
+        seen = []
+        monkeypatch.setattr(bench, "_openblas_threads", lambda: (
+            lambda: count[0], lambda n: count.__setitem__(0, n)))
+        real = bench.measure_dense
+
+        def measure(*args):
+            seen.append(count[0])
+            if len(seen) == 2:
+                raise SizeError("stop")
+            return real(*args)
+
+        monkeypatch.setattr(bench, "measure_dense", measure)
+        run_scaling_sweep("dense", [32], batch=2)
+        assert seen == [1] and count == [2]
+        with pytest.raises(SizeError):
+            run_scaling_sweep("dense", [32], batch=2)
+        assert count == [2]  # restored when a point fails too
+
+    def test_sweep_runs_where_threads_cannot_be_pinned(self, monkeypatch):
+        monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+        assert bench.sweep_blas_threads() == "unknown"
+        (p,) = run_scaling_sweep("dense", [32], batch=2)
+        assert p.fwd_seconds > 0
+
+    def test_real_blas_thread_count_restored(self):
+        calls = bench._openblas_threads()
+        before = calls[0]() if calls else None
+        run_scaling_sweep("dense", [32], batch=2)
+        assert (calls[0]() if calls else None) == before
+
     def test_batch_doubling_scales_time(self):
         # Linearity in batch size, wide band for timer noise.
         (a,) = run_scaling_sweep("dense", [512], batch=64, seed=1)

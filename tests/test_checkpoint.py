@@ -14,6 +14,7 @@ from ttrnn.checkpoint import (
 from ttrnn.errors import FormatError, ShapeError
 from ttrnn.models import build_classifier, build_predictor
 from ttrnn.optim import Adam
+from synthdata import write_array_record_checkpoint
 
 
 def tt_classifier(seed=0, rank=2):
@@ -194,6 +195,18 @@ class TestCorruption:
             ckpt.ttmap("arr:cell.bias_h")
         with pytest.raises(FormatError, match="not an array"):
             ckpt.array("map:cell.wxh")
+
+
+    @pytest.mark.parametrize("shape,data", [((-1, -1), [1.0]),
+                                            ((2 ** 32, 2 ** 32), [])],
+                             ids=["negative", "wrapping"])
+    def test_malformed_array_shape(self, tmp_path, shape, data):
+        # (-1, -1) made an element count of 1 and reached reshape;
+        # (2^32, 2^32) wrapped an int64 element count to 0 and did too.
+        path = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data)
+        ckpt = read_checkpoint(path)
+        with pytest.raises(FormatError, match="arr:cell.bias"):
+            ckpt.array("arr:cell.bias")
 
 
 class TestAtomicWrite:

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from synthdata import (write_idx_fixture, write_noise_idx_fixture,
-                       write_pianoroll_fixture)
+from synthdata import (write_array_record_checkpoint, write_idx_fixture,
+                       write_noise_idx_fixture, write_pianoroll_fixture)
+from ttrnn import bench
 from ttrnn.checkpoint import save_checkpoint
 from ttrnn.cli import main
 from ttrnn.config import TrainConfig, parse_kv
@@ -268,6 +269,16 @@ class TestInspectCommand:
         assert main(["inspect", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape,data", [((-1, -1), [1.0]),
+                                            ((2 ** 32, 2 ** 32), [])],
+                             ids=["negative", "wrapping"])
+    def test_malformed_array_shape_is_exit_2(self, tmp_path, capsys, shape,
+                                             data):
+        bad = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data)
+        assert main(["inspect", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_sweep_report(self, tmp_path, capsys):
@@ -280,6 +291,19 @@ class TestBenchCommand:
         assert len(lines) == 2
         assert "family=tt M=64 N=64" in lines[0]
         assert out_file.read_text().strip().splitlines()[1:] == lines
+
+    def test_prints_blas_threads_outside_the_report(self, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg = write_config(tmp_path / "b.cfg", family="dense", sizes="64",
+                           batch=2)
+        out_file = tmp_path / "report.txt"
+        assert main(["bench", cfg, "--out", str(out_file)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"# blas threads {bench.sweep_blas_threads()}" in out
+        assert "blas" not in out_file.read_text()
+        monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+        assert main(["bench", cfg]) == 0
+        assert "# blas threads unknown" in capsys.readouterr().out.splitlines()
 
     def test_three_point_sweep_appends_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.cfg", family="tt", sizes="64,128,256",

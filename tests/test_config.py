@@ -111,6 +111,17 @@ class TestTrainConfig:
         assert not cfg.is_classification()
 
 
+    def test_tt_args(self):
+        cfg = TrainConfig()
+        assert cfg.tt_args() == {"in_modes": (4, 8), "hidden_modes": (10, 10),
+                                 "rank": 3}
+        dense = TrainConfig.from_dict({"parameterization": "dense",
+                                       "hidden_modes": "none",
+                                       "input_modes": "none"})
+        assert dense.tt_args() == {"in_modes": None, "hidden_modes": None,
+                                   "rank": None}
+
+
 class TestResolvedDump:
     def test_round_trip(self):
         cfg = TrainConfig.from_dict({"task": "pianoroll", "model": "srnn",

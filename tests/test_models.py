@@ -123,6 +123,40 @@ class TestAccounting:
         assert rep.total_params == model.param_count()
 
 
+class TestParameterKeys:
+    # Adam state, global_norm, checkpoint records, inspect and the perfbench
+    # per-map metrics all key on these names in this order.
+
+    def test_tt_gru_classifier_with_projection(self):
+        model = small_classifier(tt=True)
+        gates = [f"cell.{k}" for g in "rzh"
+                 for k in (f"wx{g}.core0", f"wx{g}.core1", f"wh{g}.core0",
+                           f"wh{g}.core1", f"bias_{g}")]
+        keys = ["proj.weight", "proj.bias", *gates, "head.weight", "head.bias"]
+        assert list(model.params()) == keys
+        assert list(model.grads()) == keys
+        assert list(model.named_maps()) == [
+            "proj", "cell.wxr", "cell.whr", "cell.wxz", "cell.whz",
+            "cell.wxh", "cell.whh", "head"]
+        assert list(model.named_arrays()) == [
+            "cell.bias_r", "cell.bias_z", "cell.bias_h"]
+
+    def test_tt_srnn_predictor_without_projection(self):
+        model = build_predictor(frame_dim=4, cell_kind="srnn", hidden_dim=6,
+                                rng=np.random.default_rng(0), in_modes=(2, 2),
+                                hidden_modes=(2, 3), rank=2)
+        keys = ["cell.wx.core0", "cell.wx.core1", "cell.wh.core0",
+                "cell.wh.core1", "cell.bias", "head.weight", "head.bias"]
+        assert list(model.params()) == keys
+        assert list(model.grads()) == keys
+        assert list(model.named_maps()) == ["cell.wx", "cell.wh", "head"]
+        assert list(model.named_arrays()) == ["cell.bias"]
+        params, grads = model.params(), model.grads()
+        assert params["cell.bias"] is model.cell.bias
+        assert grads["cell.bias"] is model.cell.grad_bias
+        assert model.extra_param_count() == 6 * 4 + 4
+
+
 class TestFactories:
     def test_make_map_validates(self):
         rng = np.random.default_rng(0)

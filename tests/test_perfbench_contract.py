@@ -1,0 +1,86 @@
+"""The benchmark in ``perfbench/`` reaches into ttrnn by name: its tracer
+wraps the callables in ``spans.TARGETS`` and its harness and worker import
+from the package. Each of those names must resolve against ``src/``. The
+perfbench files are only parsed here, never imported or changed."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _span_targets() -> list:
+    for node in _tree("spans.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [t[:3] for t in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def _ttrnn_names() -> list:
+    """``(file, module, attribute or None)`` for every ttrnn import in the
+    harness and worker, plus every attribute read off an imported module."""
+    names = []
+    for file in ("harness.py", "worker.py"):
+        modules = {}  # local name -> ttrnn module it is bound to
+        tree = _tree(file)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ttrnn":
+                for alias in node.names:
+                    names.append((file, node.module, alias.name))
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "ttrnn":
+                        names.append((file, alias.name, None))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = modules[node.value.id]
+                if _is_module(module):
+                    names.append((file, module, node.attr))
+    return sorted(set(names), key=str)
+
+
+def _is_module(dotted: str) -> bool:
+    try:
+        importlib.import_module(dotted)
+    except ImportError:
+        return False
+    return True
+
+
+def _resolve(module: str, attr):
+    owner = importlib.import_module(module)
+    if attr is None:
+        return owner
+    if hasattr(owner, attr):
+        return getattr(owner, attr)
+    return importlib.import_module(f"{module}.{attr}")
+
+
+@pytest.mark.parametrize("module,owner,attr", _span_targets(),
+                         ids=lambda v: str(v))
+def test_span_target_resolves(module, owner, attr):
+    found = importlib.import_module(module)
+    if owner is not None:
+        found = getattr(found, owner)
+    assert callable(getattr(found, attr))
+
+
+@pytest.mark.parametrize("file,module,attr", _ttrnn_names(), ids=lambda v: str(v))
+def test_perfbench_import_resolves(file, module, attr):
+    assert _resolve(module, attr) is not None
+
+
+def test_contract_is_not_empty():
+    assert len(_span_targets()) >= 10
+    files = {file for file, _, _ in _ttrnn_names()}
+    assert files == {"harness.py", "worker.py"}

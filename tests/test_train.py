@@ -252,6 +252,21 @@ class TestTrainRun:
         assert loss == final["val_loss"]
         assert metric == final["val_metric"]
 
+    def test_permuted_run_logs_permutation_digest(self, tmp_path):
+        from ttrnn.data import make_permutation, permutation_digest
+
+        cfg = mnist_cfg(tmp_path, task="mnist-permuted", input_modes="none",
+                        epochs=1, train_count=8, val_count=8)
+        train_run(cfg)
+        lines = (tmp_path / "run" / "run.log").read_text().splitlines()
+        digest = permutation_digest(make_permutation(seed=cfg.seed_permutation))
+        assert f"# permutation {digest}" in lines
+        row = mnist_cfg(tmp_path, epochs=1, train_count=8, val_count=8,
+                        out_dir=str(tmp_path / "row"))
+        train_run(row)
+        text = (tmp_path / "row" / "run.log").read_text()
+        assert "# permutation" not in text
+
     def test_pianoroll_run(self, tmp_path):
         cfg = roll_cfg(tmp_path, epochs=2)
         result = train_run(cfg)

@@ -60,6 +60,12 @@ class TestSpec:
         assert spec.core_shape(2) == (4, 7, 3, 1)
         assert spec.out_dim == 24 and spec.in_dim == 210
 
+    def test_sweep_shapes(self):
+        # Step k: (B*P_k, m_k r_k, r_{k-1} n_k, Q_k) at B = 3.
+        spec = TTSpec((2, 3), (4, 5), (1, 2, 1))
+        assert spec.sweep_shapes(3) == [(3, 4, 4, 5), (6, 3, 10, 1)]
+        assert TTSpec((7,), (5,), (1, 1)).sweep_shapes(2) == [(2, 7, 5, 1)]
+
     def test_validation(self):
         with pytest.raises(ShapeError):
             TTSpec((2, 3), (4,), (1, 1))  # length mismatch
