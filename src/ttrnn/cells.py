@@ -4,13 +4,14 @@ sequence unroll and its exact backward pass.
 Cells own one shared bias vector per gate; the affine maps inside a cell are
 biasless so a gate's bias is not stored twice (a TT map and a dense map then
 count parameters on equal footing). Hidden activations are tanh, gates are
-logistic sigmoid, and the initial hidden state is zero unless a caller
-passes one.
+logistic sigmoid, and the initial hidden state is zero.
 
-Padded timesteps are handled by a per-step {0,1} mask: a masked-out step
-leaves the hidden state untouched and contributes nothing to any gradient,
-so batches of unequal-length sequences train exactly as if each sequence
-were processed alone.
+A cell's ``_step``/``_step_backward`` are its bare gate equations; ``Cell.step``
+is one unmasked step. Padding is handled once, by :func:`unroll` and
+:func:`bptt`, from a per-step {0,1} mask: a masked-out step leaves the hidden
+state untouched and contributes nothing to any gradient, so batches of
+unequal-length sequences train exactly as if each sequence were processed
+alone.
 
 A cell lists its parts once, in ``parts()`` (SRNN: ``wx, wh, bias``; GRU:
 ``wx{g}, wh{g}, bias_{g}`` per gate); :class:`ttrnn.linear.Composite` derives
@@ -36,26 +37,20 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _check_mask(mask, batch: int):
-    if mask is None:
-        return None
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (batch,):
-        raise ShapeError(f"mask must have shape ({batch},), got {mask.shape}")
-    return mask.reshape(batch, 1)
-
-
 class Cell(Composite):
     """Interface shared by the recurrent cells."""
 
     input_dim: int
     hidden_dim: int
 
-    def step(self, x_t, h_prev, mask_t=None):
-        """One timestep: returns ``(h_t, cache)``."""
-        return self._step(self.named_maps(), x_t, h_prev, mask_t)
+    def step(self, x_t, h_prev):
+        """One unmasked timestep: returns ``(h_t, cache)``."""
+        x_t = _check_batch(x_t, self.input_dim, "x_t")
+        h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
+        return self._step(self.named_maps(), x_t, h_prev)
 
-    def _step(self, maps, x_t, h_prev, mask_t):
+    def _step(self, maps, x_t, h_prev):
+        """The gate equations on checked (B, D) and (B, H) arrays."""
         raise NotImplementedError
 
     def _step_backward(self, maps, grad_h, cache):
@@ -83,31 +78,18 @@ class SRNNCell(Cell):
             raise ShapeError(f"bias must have shape ({self.hidden_dim},)")
         self.grad_bias = np.zeros_like(self.bias)
 
-    def _step(self, maps, x_t, h_prev, mask_t):
-        x_t = _check_batch(x_t, self.input_dim, "x_t")
-        h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
-        mask = _check_mask(mask_t, x_t.shape[0])
+    def _step(self, maps, x_t, h_prev):
         ax, cx = maps["wx"].forward_cached(x_t)
         ah, ch = maps["wh"].forward_cached(h_prev)
-        cand = np.tanh(ax + ah + self.bias)
-        if mask is None:
-            h_t = cand
-        else:
-            h_t = mask * cand + (1.0 - mask) * h_prev
-        return h_t, (cx, ch, cand, mask)
+        h_t = np.tanh(ax + ah + self.bias)
+        return h_t, (cx, ch, h_t)
 
     def _step_backward(self, maps, grad_h, cache):
-        cx, ch, cand, mask = cache
-        grad_h = _check_batch(grad_h, self.hidden_dim, "grad_h")
-        if mask is None:
-            da = grad_h * (1.0 - cand * cand)
-            skip = 0.0
-        else:
-            da = mask * grad_h * (1.0 - cand * cand)
-            skip = (1.0 - mask) * grad_h
+        cx, ch, h_t = cache
+        da = grad_h * (1.0 - h_t * h_t)
         self.grad_bias += da.sum(axis=0)
         grad_x = maps["wx"].backward(da, cx)
-        grad_h_prev = maps["wh"].backward(da, ch) + skip
+        grad_h_prev = maps["wh"].backward(da, ch)
         return grad_x, grad_h_prev
 
     def parts(self):
@@ -152,10 +134,7 @@ class GRUCell(Cell):
             self.bias[g] = b
             self.grad_bias[g] = np.zeros_like(b)
 
-    def _step(self, maps, x_t, h_prev, mask_t):
-        x_t = _check_batch(x_t, self.input_dim, "x_t")
-        h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
-        mask = _check_mask(mask_t, x_t.shape[0])
+    def _step(self, maps, x_t, h_prev):
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
         r = sigmoid(ar + br + self.bias["r"])
@@ -166,26 +145,15 @@ class GRUCell(Cell):
         ac, cxh = maps["wxh"].forward_cached(x_t)
         bc, chh = maps["whh"].forward_cached(s)
         c = np.tanh(ac + bc + self.bias["h"])
-        h_new = (1.0 - z) * h_prev + z * c
-        if mask is None:
-            h_t = h_new
-        else:
-            h_t = mask * h_new + (1.0 - mask) * h_prev
-        cache = (cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev, mask)
+        h_t = (1.0 - z) * h_prev + z * c
+        cache = (cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev)
         return h_t, cache
 
     def _step_backward(self, maps, grad_h, cache):
-        cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev, mask = cache
-        grad_h = _check_batch(grad_h, self.hidden_dim, "grad_h")
-        if mask is None:
-            gm = grad_h
-            skip = 0.0
-        else:
-            gm = mask * grad_h
-            skip = (1.0 - mask) * grad_h
-        dz = gm * (c - h_prev)
-        dc = gm * z
-        dh_prev = gm * (1.0 - z)
+        cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev = cache
+        dz = grad_h * (c - h_prev)
+        dc = grad_h * z
+        dh_prev = grad_h * (1.0 - z)
         # Candidate branch (tanh).
         dac = dc * (1.0 - c * c)
         self.grad_bias["h"] += dac.sum(axis=0)
@@ -203,7 +171,7 @@ class GRUCell(Cell):
         self.grad_bias["r"] += dar.sum(axis=0)
         grad_x += maps["wxr"].backward(dar, cxr)
         dh_prev += maps["whr"].backward(dar, chr_)
-        return grad_x, dh_prev + skip
+        return grad_x, dh_prev
 
     def parts(self):
         out = []
@@ -213,13 +181,15 @@ class GRUCell(Cell):
         return out
 
 
-def unroll(cell: Cell, x_seq, mask=None, h0=None):
-    """Run ``cell`` over ``x_seq`` of shape (T, B, D).
+def unroll(cell: Cell, x_seq, mask=None):
+    """Run ``cell`` over ``x_seq`` of shape (T, B, D) from a zero state.
 
     Returns ``(h_seq, caches)`` with ``h_seq`` of shape (T, B, H);
-    ``caches`` feeds :func:`bptt`. ``mask``, if given, has shape (T, B).
-    The cell's maps run through one execution plan for the whole sequence
-    (see :func:`ttrnn.linear.execution_plan`); ``caches`` holds it.
+    ``caches`` feeds :func:`bptt`. ``mask``, if given, has shape (T, B):
+    where it is 0 the step's new state is discarded and the previous one
+    carried on. The cell's maps run through one execution plan for the
+    whole sequence (see :func:`ttrnn.linear.execution_plan`); ``caches``
+    holds it.
     """
     x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
@@ -233,18 +203,18 @@ def unroll(cell: Cell, x_seq, mask=None, h0=None):
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (steps, batch):
             raise ShapeError(f"mask must have shape ({steps}, {batch})")
-    if h0 is None:
-        h = np.zeros((batch, cell.hidden_dim))
-    else:
-        h = _check_batch(h0, cell.hidden_dim, "h0")
+        # Only an all-exactly-1.0 mask blends nothing away: skip its blends.
+        mask = None if np.all(mask == 1.0) else mask.reshape(steps, batch, 1)
     maps = execution_plan(cell.named_maps())
+    h = np.zeros((batch, cell.hidden_dim))
     h_seq = np.empty((steps, batch, cell.hidden_dim))
     caches = []
     for t in range(steps):
-        h, cache = cell._step(maps, x_seq[t], h, None if mask is None else mask[t])
+        h_new, cache = cell._step(maps, x_seq[t], h)
+        h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
         h_seq[t] = h
         caches.append(cache)
-    return h_seq, (maps, caches)
+    return h_seq, (maps, caches, mask, h_seq.shape)
 
 
 def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
@@ -252,23 +222,36 @@ def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
 
     ``grad_h_seq`` (T, B, H) carries per-timestep gradients from losses that
     read every hidden state; ``grad_h_last`` (B, H) adds a gradient on the
-    final state only. At least one must be given. Parameter gradients
-    accumulate into the cell, those of dense-plan maps when the sweep back
-    through time is done; returns ``grad_x_seq`` of shape (T, B, D).
+    final state only. At least one must be given, each shaped like the
+    unroll's. Parameter gradients accumulate into the cell, those of
+    dense-plan maps when the sweep back through time is done; returns
+    ``grad_x_seq`` of shape (T, B, D). A masked-out step passes its
+    gradient straight to the previous state.
     """
+    maps, step_caches, mask, shape = caches
     if grad_h_seq is None and grad_h_last is None:
         raise ShapeError("need grad_h_seq and/or grad_h_last")
-    maps, step_caches = caches
-    steps = len(step_caches)
-    carry = 0.0 if grad_h_last is None else np.asarray(grad_h_last, dtype=np.float64)
-    grad_x_seq = None
+    if grad_h_seq is not None:
+        grad_h_seq = np.ascontiguousarray(grad_h_seq, dtype=np.float64)
+        if grad_h_seq.shape != shape:
+            raise ShapeError(f"grad_h_seq must have shape {shape}, "
+                             f"got {grad_h_seq.shape}")
+    carry = 0.0
+    if grad_h_last is not None:
+        carry = np.ascontiguousarray(grad_h_last, dtype=np.float64)
+        if carry.shape != shape[1:]:
+            raise ShapeError(f"grad_h_last must have shape {shape[1:]}, "
+                             f"got {carry.shape}")
+    steps, batch, _ = shape
+    grad_x_seq = np.empty((steps, batch, cell.input_dim))
     for t in range(steps - 1, -1, -1):
         g = carry if grad_h_seq is None else grad_h_seq[t] + carry
-        grad_x, carry = cell._step_backward(maps, np.asarray(g, dtype=np.float64),
-                                            step_caches[t])
-        if grad_x_seq is None:
-            grad_x_seq = np.empty((steps,) + grad_x.shape)
-        grad_x_seq[t] = grad_x
+        if mask is None:
+            grad_x_seq[t], carry = cell._step_backward(maps, g, step_caches[t])
+        else:
+            grad_x_seq[t], carry = cell._step_backward(maps, mask[t] * g,
+                                                       step_caches[t])
+            carry = carry + (1.0 - mask[t]) * g
     for m in maps.values():
         if isinstance(m, DenseView):
             m.flush()

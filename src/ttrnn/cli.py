@@ -78,8 +78,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed_init = args.seed
     if args.epochs is not None:
-        if args.epochs < 0:
-            raise ConfigError("field epochs: must be >= 0")
         cfg.epochs = args.epochs
     if args.out is not None:
         cfg.out_dir = args.out

@@ -23,6 +23,7 @@ Three concerns live here:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,12 +65,16 @@ class ImageDataset:
         return self.images.shape[0]
 
 
-def _read_exact(fh, n: int, path, offset: int) -> bytes:
-    raw = fh.read(n)
+def _read_exact(fh, n: int, path, field: str) -> bytes:
+    # ``n`` comes from an untrusted header: bound the read by the bytes the
+    # file holds, as a size past the index range raises OverflowError and
+    # one past the memory MemoryError.
+    offset = fh.tell()
+    raw = fh.read(max(0, min(n, os.fstat(fh.fileno()).st_size - offset)))
     if len(raw) != n:
         raise FormatError(
-            f"{path}: truncated at offset {offset + len(raw)}, wanted {n} bytes "
-            f"from offset {offset}"
+            f"{path}: truncated at offset {offset + len(raw)}: {field} needs "
+            f"{n} bytes from offset {offset}"
         )
     return raw
 
@@ -82,20 +87,25 @@ def read_idx(images_path, labels_path) -> ImageDataset:
     """
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, images_path, 0))
+            ">IIII", _read_exact(fh, 16, images_path, "header"))
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(
                 f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{IDX_IMAGE_MAGIC:08x}"
             )
-        payload = _read_exact(fh, count * rows * cols, images_path, 16)
+        payload = _read_exact(fh, count * rows * cols, images_path,
+                              f"pixels of {count}x{rows}x{cols} images")
         if fh.read(1):
             raise FormatError(f"{images_path}: trailing bytes after offset "
                               f"{16 + count * rows * cols}")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    try:
+        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    except ValueError as e:  # no images, but dimensions numpy cannot index
+        raise FormatError(f"{images_path}: dimensions {count}x{rows}x{cols} "
+                          f"at offset 4: {e}") from None
     with open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(
-            ">II", _read_exact(fh, 8, labels_path, 0))
+            ">II", _read_exact(fh, 8, labels_path, "header"))
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(
                 f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
@@ -106,7 +116,7 @@ def read_idx(images_path, labels_path) -> ImageDataset:
                 f"{labels_path}: count {label_count} at offset 4 does not match "
                 f"{count} images"
             )
-        labels = np.frombuffer(_read_exact(fh, count, labels_path, 8),
+        labels = np.frombuffer(_read_exact(fh, count, labels_path, "labels"),
                                dtype=np.uint8)
         if fh.read(1):
             raise FormatError(f"{labels_path}: trailing bytes after offset "

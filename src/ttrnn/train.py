@@ -39,11 +39,22 @@ def report_for(cfg: TrainConfig, model):
                         **cfg.tt_args())
 
 
+def _read_images(cfg: TrainConfig, images, labels, fields: str):
+    """One IDX pair of an mnist task and the task's shared pixel
+    permutation: ``(dataset, permutation)``, the permutation None unless the
+    task is mnist-permuted."""
+    if not images or not labels:
+        raise ConfigError(f"field {fields}: mnist tasks need IDX paths")
+    perm = None
+    if cfg.task == "mnist-permuted":
+        perm = D.make_permutation(seed=cfg.seed_permutation)
+    return D.read_idx(images, labels), perm
+
+
 def _serialize_images(dataset: D.ImageDataset, task: str, permutation):
     mode = {"mnist-row": "row", "mnist-pixel": "pixel",
             "mnist-permuted": "permuted"}[task]
-    perm = permutation if mode == "permuted" else None
-    return [D.serialize_image(img, mode, perm) for img in dataset.images]
+    return [D.serialize_image(img, mode, permutation) for img in dataset.images]
 
 
 def load_task_data(cfg: TrainConfig) -> dict:
@@ -55,16 +66,11 @@ def load_task_data(cfg: TrainConfig) -> dict:
     whose digest ``train_run`` logs).
     """
     if cfg.is_classification():
-        if not cfg.images or not cfg.labels:
-            raise ConfigError("field images/labels: mnist tasks need IDX paths")
-        ds = D.read_idx(cfg.images, cfg.labels)
+        ds, perm = _read_images(cfg, cfg.images, cfg.labels, "images/labels")
         train_ds, val_ds = D.split_train_val(ds, cfg.val_count)
         if cfg.train_count:
             train_ds = D.ImageDataset(train_ds.images[: cfg.train_count],
                                       train_ds.labels[: cfg.train_count])
-        perm = None
-        if cfg.task == "mnist-permuted":
-            perm = D.make_permutation(seed=cfg.seed_permutation)
         return {
             "train": _serialize_images(train_ds, cfg.task, perm),
             "train_labels": train_ds.labels,
@@ -307,13 +313,8 @@ def load_split(cfg: TrainConfig, split: str):
     if split != "test":
         raise ConfigError(f"split must be val or test, got {split!r}")
     if cfg.is_classification():
-        if not cfg.test_images or not cfg.test_labels:
-            raise ConfigError("field test_images/test_labels: needed for "
-                              "the test split")
-        ds = D.read_idx(cfg.test_images, cfg.test_labels)
-        perm = None
-        if cfg.task == "mnist-permuted":
-            perm = D.make_permutation(seed=cfg.seed_permutation)
+        ds, perm = _read_images(cfg, cfg.test_images, cfg.test_labels,
+                                "test_images/test_labels")
         return _serialize_images(ds, cfg.task, perm), ds.labels
     if not cfg.test_path:
         raise ConfigError("field test_path: needed for the test split")

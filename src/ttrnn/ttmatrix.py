@@ -219,25 +219,31 @@ def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:
         fh.write(bias.astype("<f8").tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    # ``n`` comes from an untrusted header: bound the read by the bytes the
+    # stream holds, as a size past the index range raises OverflowError.
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    raw = fh.read(max(0, min(n, left)))
+    if len(raw) != n:
+        raise FormatError(f"truncated {what}: wanted {n} bytes, got {len(raw)}")
+    return raw
+
+
 def read_ttmatrix(fh: io.BufferedIOBase):
     """Parse the TTM1 layout written by :func:`write_ttmatrix`.
 
-    Returns ``(TTMatrix, bias or None)``.
+    ``fh`` must be seekable. Returns ``(TTMatrix, bias or None)``.
     """
     magic = fh.read(4)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated header: missing core count")
-    (d,) = struct.unpack("<q", raw)
+    (d,) = struct.unpack("<q", _read_exact(fh, 8, "header: core count"))
     if not 1 <= d <= 64:
         raise FormatError(f"implausible core count {d}")
-    need = 8 * (3 * d + 2)
-    raw = fh.read(need)
-    if len(raw) != need:
-        raise FormatError("truncated header: missing mode/rank/flag fields")
-    fields = struct.unpack(f"<{3 * d + 2}q", raw)
+    fields = struct.unpack(f"<{3 * d + 2}q", _read_exact(
+        fh, 8 * (3 * d + 2), "header: mode/rank/flag fields"))
     out_modes = fields[:d]
     in_modes = fields[d : 2 * d]
     ranks = fields[2 * d : 3 * d + 1]
@@ -251,16 +257,11 @@ def read_ttmatrix(fh: io.BufferedIOBase):
     cores = []
     for k in range(d):
         shape = spec.core_shape(k)
-        count = math.prod(shape)
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise FormatError(f"truncated core {k}: wanted {count} float64s")
+        raw = _read_exact(fh, 8 * math.prod(shape), f"core {k} of shape {shape}")
         cores.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
     bias = None
     if bias_flag:
-        raw = fh.read(8 * spec.out_dim)
-        if len(raw) != 8 * spec.out_dim:
-            raise FormatError(f"truncated bias: wanted {spec.out_dim} float64s")
+        raw = _read_exact(fh, 8 * spec.out_dim, "bias")
         bias = np.frombuffer(raw, dtype="<f8").copy()
     extra = fh.read(1)
     if extra:

@@ -5,8 +5,9 @@ import struct
 
 import numpy as np
 
-from ttrnn.checkpoint import KIND_ARRAY, MAGIC, VERSION
-from ttrnn.data import ImageDataset, PianoRollDataset, write_idx, write_pianoroll
+from ttrnn.checkpoint import KIND_ARRAY, KIND_TTMAP, MAGIC, VERSION
+from ttrnn.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ImageDataset,
+                        PianoRollDataset, write_idx, write_pianoroll)
 
 
 def striped_images(n: int, seed: int = 0, classes: int = 10) -> ImageDataset:
@@ -33,6 +34,16 @@ def write_idx_fixture(dir_path, n: int, seed: int = 0, classes: int = 10):
     labels_path = str(dir_path / f"labels-{n}.idx")
     write_idx(images_path, labels_path, striped_images(n, seed, classes))
     return images_path, labels_path
+
+
+def write_idx_header_fixture(dir_path, count: int, rows: int, cols: int):
+    """An IDX pair that is all header: it claims ``count`` images of
+    ``rows x cols`` and labels for them, and holds no pixel or label bytes."""
+    images_path = dir_path / "header-images.idx"
+    labels_path = dir_path / "header-labels.idx"
+    images_path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
+    labels_path.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, count))
+    return str(images_path), str(labels_path)
 
 
 def noise_images(n: int, seed: int = 0, classes: int = 10) -> ImageDataset:
@@ -79,16 +90,29 @@ def write_pianoroll_fixture(dir_path, n_songs: int = 8, length: int = 40,
     return path
 
 
-def write_array_record_checkpoint(path, shape, data=(), name="arr:cell.bias"):
-    """A checkpoint holding one array record whose header claims ``shape``
-    and whose data is the float64 values ``data``, with no config text."""
+def _write_one_record_checkpoint(path, name: str, kind: int, payload: bytes):
     def text(s: str) -> bytes:
         raw = s.encode("utf-8")
         return struct.pack("<q", len(raw)) + raw
 
-    payload = (struct.pack(f"<{1 + len(shape)}q", len(shape), *shape)
-               + np.asarray(data, dtype="<f8").tobytes())
     path.write_bytes(MAGIC + struct.pack("<q", VERSION) + text("")
                      + struct.pack("<q", 1) + text(name)
-                     + struct.pack("<qq", KIND_ARRAY, len(payload)) + payload)
+                     + struct.pack("<qq", kind, len(payload)) + payload)
     return str(path)
+
+
+def write_array_record_checkpoint(path, shape, data=(), name="arr:cell.bias"):
+    """A checkpoint holding one array record whose header claims ``shape``
+    and whose data is the float64 values ``data``, with no config text."""
+    payload = (struct.pack(f"<{1 + len(shape)}q", len(shape), *shape)
+               + np.asarray(data, dtype="<f8").tobytes())
+    return _write_one_record_checkpoint(path, name, KIND_ARRAY, payload)
+
+
+def write_ttmap_header_checkpoint(path, out_modes, in_modes, ranks,
+                                  name="map:cell.wx"):
+    """A checkpoint holding one TT map record that is a TTM1 header alone
+    (bias flag 0, no core data), with no config text."""
+    fields = (len(out_modes), *out_modes, *in_modes, *ranks, 0)
+    payload = b"TTM1" + struct.pack(f"<{len(fields)}q", *fields)
+    return _write_one_record_checkpoint(path, name, KIND_TTMAP, payload)

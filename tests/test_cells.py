@@ -183,6 +183,28 @@ class TestMaskSemantics:
         np.testing.assert_allclose(gx_long[:3], gx_short, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(gx_long[3:], 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_all_ones_mask_equals_no_mask(self, factory, plan, monkeypatch):
+        force_plan(monkeypatch, plan)
+        cell = factory(seed=5)
+        rng = np.random.default_rng(11)
+        x_seq = rng.standard_normal((4, 3, cell.input_dim))
+        proj_seq = rng.standard_normal((4, 3, cell.hidden_dim))
+        proj_last = rng.standard_normal((3, cell.hidden_dim))
+        runs = []
+        for mask in (None, np.ones((4, 3))):
+            h_seq, caches = unroll(cell, x_seq, mask=mask)
+            cell.zero_grads()
+            grad_x = bptt(cell, caches, grad_h_seq=proj_seq, grad_h_last=proj_last)
+            runs.append((h_seq, grad_x, {k: v.copy() for k, v in cell.grads().items()}))
+        (h_none, gx_none, g_none), (h_ones, gx_ones, g_ones) = runs
+        np.testing.assert_array_equal(h_ones, h_none)
+        np.testing.assert_array_equal(gx_ones, gx_none)
+        assert list(g_ones) == list(g_none)
+        for name in g_none:
+            np.testing.assert_array_equal(g_ones[name], g_none[name], err_msg=name)
+
 
 class TestConstruction:
     def test_param_counts_match_accounting(self):
@@ -245,6 +267,18 @@ class TestUnrollErrors:
         _, caches = unroll(cell, np.zeros((2, 1, 3)))
         with pytest.raises(ShapeError):
             bptt(cell, caches)
+
+    @pytest.mark.parametrize("grads", [
+        {"grad_h_last": np.zeros((2, 4))},
+        {"grad_h_seq": np.zeros((1, 3, 4))},
+        {"grad_h_seq": np.zeros((3, 3, 4))},
+    ], ids=["last-batch", "seq-fewer-steps", "seq-more-steps"])
+    def test_bptt_rejects_gradients_unlike_the_unroll(self, grads):
+        # The unroll ran T=2 steps on a batch of 3.
+        cell = dense_srnn()
+        _, caches = unroll(cell, np.zeros((2, 3, 3)))
+        with pytest.raises(ShapeError):
+            bptt(cell, caches, **grads)
 
 
 def row_tt_gru(seed=0):

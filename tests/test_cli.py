@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from synthdata import (write_array_record_checkpoint, write_idx_fixture,
-                       write_noise_idx_fixture, write_pianoroll_fixture)
+                       write_idx_header_fixture, write_noise_idx_fixture,
+                       write_pianoroll_fixture, write_ttmap_header_checkpoint)
 from ttrnn import bench
 from ttrnn.checkpoint import save_checkpoint
 from ttrnn.cli import main
@@ -56,6 +57,16 @@ class TestUsageAndErrors:
     def test_negative_epochs_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", **mnist_fields(tmp_path))
         assert main(["train", cfg, "--epochs", "-3"]) == 1
+
+    @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
+                                      (0, 2 ** 32 - 1, 2 ** 32 - 1)],
+                             ids=["pixel-bytes", "no-images"])
+    def test_oversized_idx_header_is_exit_2(self, tmp_path, capsys, dims):
+        images, labels = write_idx_header_fixture(tmp_path, *dims)
+        fields = mnist_fields(tmp_path, images=images, labels=labels)
+        assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
     def test_numeric_abort_exit_code(self, tmp_path, capsys):
         fields = mnist_fields(tmp_path, lr="1e308", epochs=1)
@@ -275,6 +286,13 @@ class TestInspectCommand:
     def test_malformed_array_shape_is_exit_2(self, tmp_path, capsys, shape,
                                              data):
         bad = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data)
+        assert main(["inspect", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_oversized_tt_core_is_exit_2(self, tmp_path, capsys):
+        bad = write_ttmap_header_checkpoint(tmp_path / "bad.ttcp",
+                                            (2 ** 62,), (1,), (1, 1))
         assert main(["inspect", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err

@@ -82,6 +82,17 @@ class TestIDX:
         with pytest.raises(FormatError, match="offset"):
             read_idx(img, lab)
 
+    @pytest.mark.parametrize("count,rows,cols", [
+        (2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1),
+        (0, 2 ** 32 - 1, 2 ** 32 - 1),
+    ], ids=["pixel-bytes", "no-images"])
+    def test_oversized_header_is_format_error(self, tmp_path, count, rows, cols):
+        # The first header's pixel count does not fit an index; the second
+        # claims no pixels but dimensions numpy cannot index.
+        img, lab = idx_pair(tmp_path, b"", b"", count=count, rows=rows, cols=cols)
+        with pytest.raises(FormatError, match="4294967295x4294967295"):
+            read_idx(img, lab)
+
     def test_trailing_bytes(self, tmp_path):
         img, lab = idx_pair(tmp_path, bytes(13), bytes(2))
         with pytest.raises(FormatError, match="trailing"):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ class TestSerialization:
         for cut in [2, 8, 40, len(raw) - 8]:
             with pytest.raises(FormatError):
                 read_ttmatrix(io.BytesIO(raw[:cut]))
+
+    def test_oversized_core_is_format_error(self):
+        # Mode 2**62 passes TTSpec, but the core's 8 * 2**62 bytes do not
+        # fit an index.
+        raw = b"TTM1" + struct.pack("<6q", 1, 2 ** 62, 1, 1, 1, 0)
+        with pytest.raises(FormatError, match="core 0"):
+            read_ttmatrix(io.BytesIO(raw))
 
     def test_trailing_bytes(self):
         tt = random_tt((2, 3), (4, 5), (1, 2, 1))
