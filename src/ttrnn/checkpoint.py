@@ -7,26 +7,28 @@ Layout (all integers little-endian int64):
 
 Each record is ``name`` (length-prefixed utf-8), ``kind``, payload length,
 payload bytes. Kind 0 is a raw float64 array (ndim, dims..., data); kind 1
-is a complete TT map blob in the TTM1 layout, bias included. Length
-prefixes make unknown kinds skippable by future readers.
+is a complete TT map blob in the TTM1 layout, bias included. The reader
+rejects any other kind, and a record's payload length bounds the parse of
+its contents.
 
 Record names mirror the model's ``params()`` prefixes: TT and dense maps
 under ``map:``, bare arrays under ``arr:``, optimizer tensors under
-``opt:``, run metadata scalars under ``meta:``.
+``opt:``, run metadata scalars under ``meta:``, each one float64.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
 from .linear import DenseLinear, TTLinear
+from .reader import Reader
 from .ttmatrix import read_ttmatrix, write_ttmatrix
 
 MAGIC = b"TTCP"
@@ -45,23 +47,11 @@ def _write_str(fh, text: str):
     fh.write(data)
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise FormatError(f"truncated checkpoint: wanted {count} bytes for {what}, "
-                          f"got {len(raw)}")
-    return raw
-
-
-def _read_i64(fh, count: int, what: str):
-    return struct.unpack(f"<{count}q", _read_exact(fh, 8 * count, what))
-
-
-def _read_str(fh, what: str) -> str:
-    (n,) = _read_i64(fh, 1, f"{what} length")
+def _read_str(r: Reader, what: str) -> str:
+    (n,) = r.unpack("<q", f"{what} length")
     if not 0 <= n <= (1 << 32):
         raise FormatError(f"implausible {what} length {n}")
-    return _read_exact(fh, n, what).decode("utf-8")
+    return r.text(n, what)
 
 
 def _array_payload(arr: np.ndarray) -> bytes:
@@ -73,26 +63,16 @@ def _array_payload(arr: np.ndarray) -> bytes:
 
 
 def _parse_array(payload: bytes, name: str) -> np.ndarray:
-    buf = io.BytesIO(payload)
-    (ndim,) = _read_i64(buf, 1, f"{name} ndim")
+    r = Reader(payload, f"record {name!r}")
+    (ndim,) = r.unpack("<q", "ndim")
     if not 0 <= ndim <= 32:
         raise FormatError(f"implausible ndim {ndim} for record {name!r}")
-    shape = _read_i64(buf, ndim, f"{name} shape") if ndim else ()
+    shape = r.unpack(f"<{ndim}q", "shape")
     if any(dim < 0 for dim in shape):
         raise FormatError(f"negative dimension in shape {shape} of record {name!r}")
-    # math.prod is exact where an int64 product wraps (2^32 * 2^32 -> 0), and
-    # the bound keeps the read below within the payload.
-    count = math.prod(shape)
-    if 8 * count > len(payload):
-        raise FormatError(f"record {name!r}: shape {shape} needs {8 * count} "
-                          f"data bytes, payload holds {len(payload)}")
-    raw = _read_exact(buf, 8 * count, f"{name} data")
-    if buf.read(1):
-        raise FormatError(f"trailing bytes in record {name!r}")
-    try:
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    except ValueError as e:  # an empty array with a dimension numpy cannot index
-        raise FormatError(f"record {name!r}: shape {shape}: {e}") from None
+    arr = r.array("<f8", shape, f"data of shape {shape}")
+    r.end()
+    return arr
 
 
 def _map_payload(lm: TTLinear) -> bytes:
@@ -172,36 +152,40 @@ class Checkpoint:
         return read_ttmatrix(io.BytesIO(payload))
 
     def meta(self) -> dict:
+        """The ``meta:`` scalars by key; each record must be one float64."""
         out = {}
-        for name, (kind, _) in self.records.items():
-            if name.startswith("meta:") and kind == KIND_ARRAY:
-                out[name[5:]] = float(self.array(name).reshape(-1)[0])
+        for name in self.records:
+            if name.startswith("meta:"):
+                value = self.array(name)
+                if value.size != 1:
+                    raise FormatError(f"record {name!r}: a meta scalar needs "
+                                      f"one value, got shape {value.shape}")
+                out[name[5:]] = value.item()
         return out
 
 
 def read_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = _read_i64(fh, 1, "version")
-        if version != VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        config_text = _read_str(fh, "config text")
-        (count,) = _read_i64(fh, 1, "record count")
-        if not 0 <= count <= (1 << 20):
-            raise FormatError(f"implausible record count {count}")
-        records = {}
-        for i in range(count):
-            name = _read_str(fh, f"record {i} name")
-            kind, length = _read_i64(fh, 2, f"record {name!r} header")
-            if kind not in (KIND_ARRAY, KIND_TTMAP):
-                raise FormatError(f"record {name!r}: unknown kind {kind}")
-            if not 0 <= length <= (1 << 40):
-                raise FormatError(f"record {name!r}: implausible length {length}")
-            records[name] = (kind, _read_exact(fh, length, f"record {name!r}"))
-        if fh.read(1):
-            raise FormatError("trailing bytes after last record")
+    r = Reader(Path(path).read_bytes(), path)
+    magic = bytes(r.take(4, "magic"))
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    (version,) = r.unpack("<q", "version")
+    if version != VERSION:
+        raise FormatError(f"unsupported checkpoint version {version}")
+    config_text = _read_str(r, "config text")
+    (count,) = r.unpack("<q", "record count")
+    if not 0 <= count <= (1 << 20):
+        raise FormatError(f"implausible record count {count}")
+    records = {}
+    for i in range(count):
+        name = _read_str(r, f"record {i} name")
+        kind, length = r.unpack("<2q", f"record {name!r} header")
+        if kind not in (KIND_ARRAY, KIND_TTMAP):
+            raise FormatError(f"record {name!r}: unknown kind {kind}")
+        if not 0 <= length <= (1 << 40):
+            raise FormatError(f"record {name!r}: implausible length {length}")
+        records[name] = (kind, bytes(r.take(length, f"record {name!r}")))
+    r.end()
     return Checkpoint(version, config_text, records)
 
 

@@ -131,8 +131,10 @@ def _describe_record(ckpt, name: str, kind: int):
 
 def cmd_inspect(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
+    meta = ckpt.meta()
     print(f"checkpoint: {args.checkpoint}")
     cell_total = 0
+    non_cell_total = 0  # projection + head
     opt_records = 0
     for name in sorted(ckpt.records):
         kind, _ = ckpt.records[name]
@@ -140,21 +142,22 @@ def cmd_inspect(args) -> int:
             opt_records += 1
             continue
         if name.startswith("meta:"):
-            print(f"{name} = {float(ckpt.array(name).reshape(-1)[0])!r}")
+            print(f"{name} = {meta[name[5:]]!r}")
             continue
         count, desc = _describe_record(ckpt, name, kind)
         print(f"{name}: {desc}")
         if name.startswith(("map:cell.", "arr:cell.")):
             cell_total += count
+        else:
+            non_cell_total += count
     if opt_records:
         print(f"optimizer state: {opt_records} tensors")
     if ckpt.config_text.strip():
-        cfg = TrainConfig.from_dict(parse_kv(ckpt.config_text,
-                                             source="<checkpoint>"))
+        cfg = _config_from_checkpoint(ckpt, None)
         print(f"config hash: {cfg.digest()}")
         report = ModelReport.build(
             cfg.model, cfg.cell_input_dim(), cfg.hidden,
-            extra_params=max(0, _non_cell_total(ckpt)),
+            extra_params=non_cell_total,
             baseline_hidden=cfg.baseline_hidden or None, **cfg.tt_args(),
         )
         if report.cell_params != cell_total:
@@ -166,17 +169,6 @@ def cmd_inspect(args) -> int:
     else:
         print(f"cell params: {cell_total}")
     return 0
-
-
-def _non_cell_total(ckpt) -> int:
-    """Projection + head parameters stored in the container."""
-    total = 0
-    for name, (kind, _) in ckpt.records.items():
-        if name.startswith(("opt:", "meta:", "map:cell.", "arr:cell.")):
-            continue
-        count, _ = _describe_record(ckpt, name, kind)
-        total += count
-    return total
 
 
 def cmd_bench(args) -> int:
@@ -216,10 +208,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, DataError, ShapeError, RangeError, SizeError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (FormatError, DataError, ShapeError, RangeError, SizeError,
+            OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

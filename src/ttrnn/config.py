@@ -16,6 +16,7 @@ import numpy as np
 
 from .bench import MIN_REPS, MIN_WARMUPS
 from .errors import ConfigError
+from .reader import decode
 
 TASKS = ("mnist-row", "mnist-pixel", "mnist-permuted", "pianoroll")
 MODELS = ("srnn", "gru")
@@ -101,8 +102,9 @@ class KVConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(parse_kv(fh.read(), source=str(path)))
+        with open(path, "rb") as fh:
+            text = decode(fh.read(), "utf-8", str(path), error=ConfigError)
+        return cls.from_dict(parse_kv(text, source=str(path)))
 
     def validate(self):
         for name in self._INT:

@@ -23,13 +23,15 @@ Three concerns live here:
 from __future__ import annotations
 
 import hashlib
-import os
+import io
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, FormatError, ShapeError
+from .reader import Reader, decode
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -65,18 +67,15 @@ class ImageDataset:
         return self.images.shape[0]
 
 
-def _read_exact(fh, n: int, path, field: str) -> bytes:
-    # ``n`` comes from an untrusted header: bound the read by the bytes the
-    # file holds, as a size past the index range raises OverflowError and
-    # one past the memory MemoryError.
-    offset = fh.tell()
-    raw = fh.read(max(0, min(n, os.fstat(fh.fileno()).st_size - offset)))
-    if len(raw) != n:
-        raise FormatError(
-            f"{path}: truncated at offset {offset + len(raw)}: {field} needs "
-            f"{n} bytes from offset {offset}"
-        )
-    return raw
+def _read_idx_file(path, magic: int, ndim: int) -> np.ndarray:
+    r = Reader(Path(path).read_bytes(), path)
+    found, *dims = r.unpack(f">{1 + ndim}I", "header")
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at offset 0, "
+                          f"expected 0x{magic:08x}")
+    data = r.array(np.uint8, dims, f"bytes of {'x'.join(map(str, dims))} items")
+    r.end()
+    return data
 
 
 def read_idx(images_path, labels_path) -> ImageDataset:
@@ -85,42 +84,11 @@ def read_idx(images_path, labels_path) -> ImageDataset:
     Byte pixels are scaled to [0,1] by /255. Errors carry the byte offset
     of the field that failed.
     """
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, images_path, "header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        payload = _read_exact(fh, count * rows * cols, images_path,
-                              f"pixels of {count}x{rows}x{cols} images")
-        if fh.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after offset "
-                              f"{16 + count * rows * cols}")
-    try:
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-    except ValueError as e:  # no images, but dimensions numpy cannot index
-        raise FormatError(f"{images_path}: dimensions {count}x{rows}x{cols} "
-                          f"at offset 4: {e}") from None
-    with open(labels_path, "rb") as fh:
-        magic, label_count = struct.unpack(
-            ">II", _read_exact(fh, 8, labels_path, "header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        if label_count != count:
-            raise FormatError(
-                f"{labels_path}: count {label_count} at offset 4 does not match "
-                f"{count} images"
-            )
-        labels = np.frombuffer(_read_exact(fh, count, labels_path, "labels"),
-                               dtype=np.uint8)
-        if fh.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after offset "
-                              f"{8 + count}")
+    images = _read_idx_file(images_path, IDX_IMAGE_MAGIC, 3)
+    labels = _read_idx_file(labels_path, IDX_LABEL_MAGIC, 1)
+    if labels.shape[0] != images.shape[0]:
+        raise FormatError(f"{labels_path}: count {labels.shape[0]} at offset "
+                          f"4 does not match {images.shape[0]} images")
     return ImageDataset(images / 255.0, labels.astype(np.int64))
 
 
@@ -229,32 +197,34 @@ def read_pianoroll(path) -> PianoRollDataset:
     songs = []
     frames = []
     last_line = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            last_line = lineno
-            line = line.strip()
-            if line == SONG_SEPARATOR:
-                if not frames:
-                    raise FormatError(f"{path}:{lineno}: separator ends an empty song")
-                songs.append(np.array(frames))
-                frames = []
-                continue
-            frame = np.zeros(N_NOTES)
-            if line:
-                for tok in line.split():
-                    try:
-                        note = int(tok)
-                    except ValueError:
-                        raise FormatError(
-                            f"{path}:{lineno}: {tok!r} is not a note number"
-                        ) from None
-                    if not NOTE_LOW <= note <= NOTE_HIGH:
-                        raise FormatError(
-                            f"{path}:{lineno}: note {note} outside "
-                            f"[{NOTE_LOW}, {NOTE_HIGH}]"
-                        )
-                    frame[note - NOTE_LOW] = 1.0
-            frames.append(frame)
+    text = decode(Path(path).read_bytes(), "ascii", path)
+    # Lines as text-mode iteration yields them: split at \n, \r and \r\n
+    # only (str.splitlines also splits at \x0b, \x0c and \x1c-\x1e).
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        last_line = lineno
+        line = line.strip()
+        if line == SONG_SEPARATOR:
+            if not frames:
+                raise FormatError(f"{path}:{lineno}: separator ends an empty song")
+            songs.append(np.array(frames))
+            frames = []
+            continue
+        frame = np.zeros(N_NOTES)
+        if line:
+            for tok in line.split():
+                try:
+                    note = int(tok)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{lineno}: {tok!r} is not a note number"
+                    ) from None
+                if not NOTE_LOW <= note <= NOTE_HIGH:
+                    raise FormatError(
+                        f"{path}:{lineno}: note {note} outside "
+                        f"[{NOTE_LOW}, {NOTE_HIGH}]"
+                    )
+                frame[note - NOTE_LOW] = 1.0
+        frames.append(frame)
     if frames:
         songs.append(np.array(frames))
     elif songs:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import FormatError, RangeError, ShapeError, SizeError
 from .indexing import check_dims, linear_to_multi
+from .reader import Reader
 
 # Largest dense materialization to_dense() will perform without force=True.
 DENSE_CAP = 1 << 24
@@ -219,31 +220,18 @@ def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:
         fh.write(bias.astype("<f8").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # ``n`` comes from an untrusted header: bound the read by the bytes the
-    # stream holds, as a size past the index range raises OverflowError.
-    here = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-    raw = fh.read(max(0, min(n, left)))
-    if len(raw) != n:
-        raise FormatError(f"truncated {what}: wanted {n} bytes, got {len(raw)}")
-    return raw
-
-
 def read_ttmatrix(fh: io.BufferedIOBase):
-    """Parse the TTM1 layout written by :func:`write_ttmatrix`.
-
-    ``fh`` must be seekable. Returns ``(TTMatrix, bias or None)``.
+    """Parse the TTM1 layout written by :func:`write_ttmatrix` from the rest
+    of ``fh``. Returns ``(TTMatrix, bias or None)``.
     """
-    magic = fh.read(4)
+    r = Reader(fh.read(), getattr(fh, "name", "TTM1 data"))
+    magic = bytes(r.take(4, "magic"))
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    (d,) = struct.unpack("<q", _read_exact(fh, 8, "header: core count"))
+    (d,) = r.unpack("<q", "header: core count")
     if not 1 <= d <= 64:
         raise FormatError(f"implausible core count {d}")
-    fields = struct.unpack(f"<{3 * d + 2}q", _read_exact(
-        fh, 8 * (3 * d + 2), "header: mode/rank/flag fields"))
+    fields = r.unpack(f"<{3 * d + 2}q", "header: mode/rank/flag fields")
     out_modes = fields[:d]
     in_modes = fields[d : 2 * d]
     ranks = fields[2 * d : 3 * d + 1]
@@ -254,16 +242,9 @@ def read_ttmatrix(fh: io.BufferedIOBase):
         spec = TTSpec(out_modes, in_modes, ranks)
     except ShapeError as e:
         raise FormatError(f"invalid header: {e}") from e
-    cores = []
-    for k in range(d):
-        shape = spec.core_shape(k)
-        raw = _read_exact(fh, 8 * math.prod(shape), f"core {k} of shape {shape}")
-        cores.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    bias = None
-    if bias_flag:
-        raw = _read_exact(fh, 8 * spec.out_dim, "bias")
-        bias = np.frombuffer(raw, dtype="<f8").copy()
-    extra = fh.read(1)
-    if extra:
-        raise FormatError("trailing bytes after payload")
+    cores = [r.array("<f8", spec.core_shape(k),
+                     f"core {k} of shape {spec.core_shape(k)}")
+             for k in range(d)]
+    bias = r.array("<f8", (spec.out_dim,), "bias") if bias_flag else None
+    r.end()
     return TTMatrix(spec, cores), bias

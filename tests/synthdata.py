@@ -90,14 +90,17 @@ def write_pianoroll_fixture(dir_path, n_songs: int = 8, length: int = 40,
     return path
 
 
-def _write_one_record_checkpoint(path, name: str, kind: int, payload: bytes):
-    def text(s: str) -> bytes:
-        raw = s.encode("utf-8")
+def write_one_record_checkpoint(path, name: str, kind: int, payload: bytes,
+                                config: bytes = b"", length=None):
+    """A checkpoint of raw config text ``config`` and one record whose
+    header claims ``length`` payload bytes (default: those of ``payload``)."""
+    def text(raw: bytes) -> bytes:
         return struct.pack("<q", len(raw)) + raw
 
-    path.write_bytes(MAGIC + struct.pack("<q", VERSION) + text("")
-                     + struct.pack("<q", 1) + text(name)
-                     + struct.pack("<qq", kind, len(payload)) + payload)
+    length = len(payload) if length is None else length
+    path.write_bytes(MAGIC + struct.pack("<q", VERSION) + text(config)
+                     + struct.pack("<q", 1) + text(name.encode("utf-8"))
+                     + struct.pack("<qq", kind, length) + payload)
     return str(path)
 
 
@@ -106,7 +109,7 @@ def write_array_record_checkpoint(path, shape, data=(), name="arr:cell.bias"):
     and whose data is the float64 values ``data``, with no config text."""
     payload = (struct.pack(f"<{1 + len(shape)}q", len(shape), *shape)
                + np.asarray(data, dtype="<f8").tobytes())
-    return _write_one_record_checkpoint(path, name, KIND_ARRAY, payload)
+    return write_one_record_checkpoint(path, name, KIND_ARRAY, payload)
 
 
 def write_ttmap_header_checkpoint(path, out_modes, in_modes, ranks,
@@ -115,4 +118,4 @@ def write_ttmap_header_checkpoint(path, out_modes, in_modes, ranks,
     (bias flag 0, no core data), with no config text."""
     fields = (len(out_modes), *out_modes, *in_modes, *ranks, 0)
     payload = b"TTM1" + struct.pack(f"<{len(fields)}q", *fields)
-    return _write_one_record_checkpoint(path, name, KIND_TTMAP, payload)
+    return write_one_record_checkpoint(path, name, KIND_TTMAP, payload)

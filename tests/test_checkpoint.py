@@ -208,6 +208,14 @@ class TestCorruption:
         with pytest.raises(FormatError, match="arr:cell.bias"):
             ckpt.array("arr:cell.bias")
 
+    @pytest.mark.parametrize("shape,data", [((0,), []), ((2,), [1.0, 2.0])],
+                             ids=["empty", "two-values"])
+    def test_meta_record_holds_one_value(self, tmp_path, shape, data):
+        path = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data,
+                                             name="meta:epoch")
+        with pytest.raises(FormatError, match="meta:epoch"):
+            read_checkpoint(path).meta()
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 
@@ -7,9 +8,10 @@ import pytest
 
 from synthdata import (write_array_record_checkpoint, write_idx_fixture,
                        write_idx_header_fixture, write_noise_idx_fixture,
-                       write_pianoroll_fixture, write_ttmap_header_checkpoint)
+                       write_one_record_checkpoint, write_pianoroll_fixture,
+                       write_ttmap_header_checkpoint)
 from ttrnn import bench
-from ttrnn.checkpoint import save_checkpoint
+from ttrnn.checkpoint import KIND_ARRAY, save_checkpoint
 from ttrnn.cli import main
 from ttrnn.config import TrainConfig, parse_kv
 from ttrnn.train import build_model, parse_runlog
@@ -67,6 +69,27 @@ class TestUsageAndErrors:
         assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_undecodable_pianoroll_is_exit_2(self, tmp_path, capsys):
+        train = tmp_path / "tr.txt"
+        train.write_bytes(b"60\n61 \xff\n")
+        cfg = write_config(tmp_path / "p.cfg", task="pianoroll", model="srnn",
+                           parameterization="dense", hidden=4,
+                           hidden_modes="none", input_modes="none", proj=0,
+                           train_path=str(train), val_path=str(train),
+                           out_dir=str(tmp_path / "run"))
+        assert main(["train", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert "byte 0xff at offset 6" in err
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"# caf\xe9 au lait\nepochs = 0\n")
+        assert main(["train", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "byte 0xe9 at offset 5" in err
 
     def test_numeric_abort_exit_code(self, tmp_path, capsys):
         fields = mnist_fields(tmp_path, lr="1e308", epochs=1)
@@ -286,6 +309,20 @@ class TestInspectCommand:
     def test_malformed_array_shape_is_exit_2(self, tmp_path, capsys, shape,
                                              data):
         bad = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data)
+        assert main(["inspect", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config,name,payload,length", [
+        (b"", "arr:x", b"abc", 2 ** 40),
+        (b"\xff\xfe", "arr:x", struct.pack("<qqd", 1, 1, 1.0), None),
+        (b"", "meta:epoch", struct.pack("<qq", 1, 0), None),
+    ], ids=["record-length-2^40", "undecodable-config-text",
+            "empty-meta-scalar"])
+    def test_malformed_container_is_exit_2(self, tmp_path, capsys, config,
+                                           name, payload, length):
+        bad = write_one_record_checkpoint(tmp_path / "bad.ttcp", name,
+                                          KIND_ARRAY, payload, config, length)
         assert main(["inspect", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
