@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .linear import Composite, DenseView, LinearMap, _check_batch, execution_plan
+from .linear import (Composite, DenseView, LinearMap, _check_batch, _check_bias,
+                     execution_plan)
 
 
 def sigmoid(x):
@@ -73,9 +74,7 @@ class SRNNCell(Cell):
         self.wh = wh
         self.input_dim = wx.in_dim
         self.hidden_dim = wx.out_dim
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-        if self.bias.shape != (self.hidden_dim,):
-            raise ShapeError(f"bias must have shape ({self.hidden_dim},)")
+        self.bias = _check_bias(bias, self.hidden_dim)
         self.grad_bias = np.zeros_like(self.bias)
 
     def _step(self, maps, x_t, h_prev):
@@ -125,14 +124,9 @@ class GRUCell(Cell):
                 raise ShapeError("cell maps must be biasless; the cell owns gate biases")
         if set(biases) != set(self.GATES):
             raise ShapeError(f"biases must have exactly gates {self.GATES}")
-        self.bias = {}
-        self.grad_bias = {}
-        for g in self.GATES:
-            b = np.ascontiguousarray(biases[g], dtype=np.float64)
-            if b.shape != (self.hidden_dim,):
-                raise ShapeError(f"bias[{g}] must have shape ({self.hidden_dim},)")
-            self.bias[g] = b
-            self.grad_bias[g] = np.zeros_like(b)
+        self.bias = {g: _check_bias(biases[g], self.hidden_dim, f"bias[{g}]")
+                     for g in self.GATES}
+        self.grad_bias = {g: np.zeros_like(b) for g, b in self.bias.items()}
 
     def _step(self, maps, x_t, h_prev):
         ar, cxr = maps["wxr"].forward_cached(x_t)

@@ -11,9 +11,13 @@ is a complete TT map blob in the TTM1 layout, bias included. The reader
 rejects any other kind, and a record's payload length bounds the parse of
 its contents.
 
-Record names mirror the model's ``params()`` prefixes: TT and dense maps
-under ``map:``, bare arrays under ``arr:``, optimizer tensors under
-``opt:``, run metadata scalars under ``meta:``, each one float64.
+A model is saved as, and loaded from, one record list
+(:func:`_model_slots`), named after its ``params()`` keys: a TT map is one
+kind-1 record ``map:<name>``, each ``params()`` entry of a dense map a
+kind-0 record ``map:<name>.<key>``, each bare array a kind-0 record
+``arr:<name>``. Optimizer tensors go under ``opt:`` and run metadata
+scalars under ``meta:``, each one float64. Loading demands exactly the
+model's list: a missing or spare ``map:``/``arr:`` record is rejected.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .linear import DenseLinear, TTLinear
+from .linear import TTLinear
 from .reader import Reader
-from .ttmatrix import read_ttmatrix, write_ttmatrix
+from .ttmatrix import _parse_ttmatrix, write_ttmatrix
 
 MAGIC = b"TTCP"
 VERSION = 1
@@ -62,14 +66,14 @@ def _array_payload(arr: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def _parse_array(payload: bytes, name: str) -> np.ndarray:
-    r = Reader(payload, f"record {name!r}")
+def _parse_array(payload: bytes, source: str) -> np.ndarray:
+    r = Reader(payload, source)
     (ndim,) = r.unpack("<q", "ndim")
     if not 0 <= ndim <= 32:
-        raise FormatError(f"implausible ndim {ndim} for record {name!r}")
+        raise FormatError(f"{source}: implausible ndim {ndim}")
     shape = r.unpack(f"<{ndim}q", "shape")
     if any(dim < 0 for dim in shape):
-        raise FormatError(f"negative dimension in shape {shape} of record {name!r}")
+        raise FormatError(f"{source}: negative dimension in shape {shape}")
     arr = r.array("<f8", shape, f"data of shape {shape}")
     r.end()
     return arr
@@ -81,28 +85,27 @@ def _map_payload(lm: TTLinear) -> bytes:
     return buf.getvalue()
 
 
-def _model_records(model) -> list:
-    records = []
+def _model_slots(model) -> list:
+    """The model's records in file order, as ``(record name, kind, target)``;
+    the target is the :class:`TTLinear` of a kind-1 record and the array of
+    a kind-0 one."""
+    slots = []
     for name, lm in model.named_maps().items():
         if isinstance(lm, TTLinear):
-            records.append((f"map:{name}", KIND_TTMAP, _map_payload(lm)))
-        elif isinstance(lm, DenseLinear):
-            records.append((f"map:{name}.weight", KIND_ARRAY,
-                            _array_payload(lm.weight)))
-            if lm.bias is not None:
-                records.append((f"map:{name}.bias", KIND_ARRAY,
-                                _array_payload(lm.bias)))
+            slots.append((f"map:{name}", KIND_TTMAP, lm))
         else:
-            raise ShapeError(f"cannot serialize map {name!r} of type {type(lm)}")
-    for name, arr in model.named_arrays().items():
-        records.append((f"arr:{name}", KIND_ARRAY, _array_payload(arr)))
-    return records
+            slots += [(f"map:{name}.{key}", KIND_ARRAY, arr)
+                      for key, arr in lm.params().items()]
+    return slots + [(f"arr:{name}", KIND_ARRAY, arr)
+                    for name, arr in model.named_arrays().items()]
 
 
 def save_checkpoint(path, model, config_text: str = "", optimizer=None,
                     meta: dict | None = None):
     """Write model (and optionally optimizer) state to ``path``."""
-    records = _model_records(model)
+    records = [(name, kind, _map_payload(target) if kind == KIND_TTMAP
+                else _array_payload(target))
+               for name, kind, target in _model_slots(model)]
     if optimizer is not None:
         for key, arr in optimizer.state().items():
             records.append((f"opt:{key}", KIND_ARRAY, _array_payload(arr)))
@@ -134,6 +137,8 @@ def save_checkpoint(path, model, config_text: str = "", optimizer=None,
 class Checkpoint:
     """Parsed container: config text plus named records."""
 
+    source = "checkpoint"  # what record errors name; the path once read
+
     def __init__(self, version: int, config_text: str, records: dict):
         self.version = version
         self.config_text = config_text
@@ -143,13 +148,13 @@ class Checkpoint:
         kind, payload = self.records[name]
         if kind != KIND_ARRAY:
             raise FormatError(f"record {name!r} is not an array")
-        return _parse_array(payload, name)
+        return _parse_array(payload, f"{self.source}: record {name!r}")
 
     def ttmap(self, name: str):
         kind, payload = self.records[name]
         if kind != KIND_TTMAP:
             raise FormatError(f"record {name!r} is not a TT map")
-        return read_ttmatrix(io.BytesIO(payload))
+        return _parse_ttmatrix(payload, f"{self.source}: record {name!r}")
 
     def meta(self) -> dict:
         """The ``meta:`` scalars by key; each record must be one float64."""
@@ -186,7 +191,9 @@ def read_checkpoint(path) -> Checkpoint:
             raise FormatError(f"record {name!r}: implausible length {length}")
         records[name] = (kind, bytes(r.take(length, f"record {name!r}")))
     r.end()
-    return Checkpoint(version, config_text, records)
+    ckpt = Checkpoint(version, config_text, records)
+    ckpt.source = path
+    return ckpt
 
 
 def _load_tt(lm: TTLinear, ckpt: Checkpoint, name: str):
@@ -202,34 +209,29 @@ def _load_tt(lm: TTLinear, ckpt: Checkpoint, name: str):
         lm.bias[...] = bias
 
 
-def _load_array(dst: np.ndarray, ckpt: Checkpoint, name: str):
-    if name not in ckpt.records:
-        raise ShapeError(f"checkpoint incompatible: missing record {name!r}")
-    src = ckpt.array(name)
-    if src.shape != dst.shape:
-        raise ShapeError(f"checkpoint incompatible: {name} has shape {src.shape}, "
-                         f"model expects {dst.shape}")
-    dst[...] = src
-
-
 def load_into_model(ckpt: Checkpoint, model):
-    """Copy checkpoint values into ``model`` in place.
+    """Copy checkpoint values into ``model`` in place, walking the same
+    record list :func:`save_checkpoint` writes.
 
-    Structure must match exactly; any missing record, spare map, or shape
-    difference raises ShapeError naming the offender.
+    Structure must match exactly; a missing record, a shape difference or
+    a spare ``map:``/``arr:`` record raises ShapeError naming the offender.
     """
-    for name, lm in model.named_maps().items():
-        if isinstance(lm, TTLinear):
-            if f"map:{name}" not in ckpt.records:
-                raise ShapeError(f"checkpoint incompatible: missing record "
-                                 f"'map:{name}'")
-            _load_tt(lm, ckpt, f"map:{name}")
-        else:
-            _load_array(lm.weight, ckpt, f"map:{name}.weight")
-            if lm.bias is not None:
-                _load_array(lm.bias, ckpt, f"map:{name}.bias")
-    for name, arr in model.named_arrays().items():
-        _load_array(arr, ckpt, f"arr:{name}")
+    slots = _model_slots(model)
+    for name, kind, dst in slots:
+        if name not in ckpt.records:
+            raise ShapeError(f"checkpoint incompatible: missing record {name!r}")
+        if kind == KIND_TTMAP:
+            _load_tt(dst, ckpt, name)
+            continue
+        src = ckpt.array(name)
+        if src.shape != dst.shape:
+            raise ShapeError(f"checkpoint incompatible: {name} has shape "
+                             f"{src.shape}, model expects {dst.shape}")
+        dst[...] = src
+    expected = {name for name, _, _ in slots}
+    for name in ckpt.records:
+        if name.startswith(("map:", "arr:")) and name not in expected:
+            raise ShapeError(f"checkpoint incompatible: spare record {name!r}")
 
 
 def load_optimizer(ckpt: Checkpoint, optimizer):

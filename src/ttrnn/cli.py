@@ -132,7 +132,8 @@ def _describe_record(ckpt, name: str, kind: int):
 def cmd_inspect(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     meta = ckpt.meta()
-    print(f"checkpoint: {args.checkpoint}")
+    # Printed only once every record has parsed, so a failure prints nothing.
+    lines = [f"checkpoint: {args.checkpoint}"]
     cell_total = 0
     non_cell_total = 0  # projection + head
     opt_records = 0
@@ -142,19 +143,19 @@ def cmd_inspect(args) -> int:
             opt_records += 1
             continue
         if name.startswith("meta:"):
-            print(f"{name} = {meta[name[5:]]!r}")
+            lines.append(f"{name} = {meta[name[5:]]!r}")
             continue
         count, desc = _describe_record(ckpt, name, kind)
-        print(f"{name}: {desc}")
+        lines.append(f"{name}: {desc}")
         if name.startswith(("map:cell.", "arr:cell.")):
             cell_total += count
         else:
             non_cell_total += count
     if opt_records:
-        print(f"optimizer state: {opt_records} tensors")
+        lines.append(f"optimizer state: {opt_records} tensors")
     if ckpt.config_text.strip():
         cfg = _config_from_checkpoint(ckpt, None)
-        print(f"config hash: {cfg.digest()}")
+        lines.append(f"config hash: {cfg.digest()}")
         report = ModelReport.build(
             cfg.model, cfg.cell_input_dim(), cfg.hidden,
             extra_params=non_cell_total,
@@ -164,10 +165,10 @@ def cmd_inspect(args) -> int:
             raise ShapeError(
                 f"checkpoint incompatible: stored cell params {cell_total} "
                 f"differ from config's {report.cell_params}")
-        for line in report.lines():
-            print(line)
+        lines += report.lines()
     else:
-        print(f"cell params: {cell_total}")
+        lines.append(f"cell params: {cell_total}")
+    print("\n".join(lines))
     return 0
 
 

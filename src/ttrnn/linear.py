@@ -40,9 +40,12 @@ Both plans are exact: the dense one reuses the sweep and its backward pass,
 so it differs from the sweep only in rounding. :func:`takes_dense_plan`
 holds the rule.
 
-Every owner of trainable arrays (map, cell, model) is a :class:`Params`.
-Cells and models are :class:`Composite`: they list their parts once, in
-``parts()``, and their keys, maps and bare arrays all derive from it.
+Every owner of trainable arrays (map, cell, model) is a :class:`Params`
+and lists its parts once, in ``parts()``: ``weight[, bias]`` for a
+:class:`DenseLinear`, ``core0..core{d-1}[, bias]`` for a :class:`TTLinear`.
+Its ``params()``/``grads()`` keys derive from that list. Cells and models
+are :class:`Composite`, whose parts also hold maps; their maps and bare
+arrays derive from the same list.
 """
 
 from __future__ import annotations
@@ -60,12 +63,10 @@ def _check_batch(x, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def _check_bias(bias, out_dim: int):
-    if bias is None:
-        return None
+def _check_bias(bias, out_dim: int, what: str = "bias") -> np.ndarray:
     bias = np.ascontiguousarray(bias, dtype=np.float64)
     if bias.shape != (out_dim,):
-        raise ShapeError(f"bias must have shape ({out_dim},), got {bias.shape}")
+        raise ShapeError(f"{what} must have shape ({out_dim},), got {bias.shape}")
     return bias
 
 
@@ -74,14 +75,34 @@ def _prefixed(prefix: str, d: dict) -> dict:
 
 
 class Params:
-    """An owner of trainable arrays: ``params()`` and ``grads()`` map the
-    same keys, in the same order, to each array and its gradient."""
+    """An owner of trainable arrays, assembled from the ordered
+    ``(name, part)`` list of ``parts()``.
+
+    A part is an ``(array, grad)`` pair the owner holds itself (a map's
+    weight, cores or bias; a cell's bias) or, in a :class:`Composite`, a
+    :class:`LinearMap` or nested composite. ``params()`` and ``grads()`` map
+    the same keys, in part order, to each array and its gradient; a nested
+    owner's keys are dotted under its part name. That order is the one
+    optimizers, checkpoints and reports see.
+    """
+
+    def parts(self) -> list:
+        raise NotImplementedError
+
+    def _flat(self, grads: bool) -> dict:
+        out = {}
+        for name, part in self.parts():
+            if isinstance(part, tuple):
+                out[name] = part[1] if grads else part[0]
+            else:
+                out.update(_prefixed(name, part._flat(grads)))
+        return out
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return self._flat(grads=False)
 
     def grads(self) -> dict:
-        raise NotImplementedError
+        return self._flat(grads=True)
 
     def zero_grads(self):
         for g in self.grads().values():
@@ -106,35 +127,13 @@ class LinearMap(Params):
     def backward(self, grad_out, cache):
         raise NotImplementedError
 
+    def _bias_parts(self) -> list:
+        return [] if self.bias is None else [("bias", (self.bias, self.grad_bias))]
+
 
 class Composite(Params):
-    """An owner assembled from the ordered ``(name, part)`` list of
-    ``parts()``.
-
-    A part is a :class:`LinearMap`, a nested :class:`Composite`, or an
-    ``(array, grad)`` pair the owner holds itself (a bias). Keys are the
-    part names, dotted with the part's own keys for maps and composites, in
-    part order; that order is the one optimizers, checkpoints and reports
-    see.
-    """
-
-    def parts(self) -> list:
-        raise NotImplementedError
-
-    def _flat(self, grads: bool) -> dict:
-        out = {}
-        for name, part in self.parts():
-            if isinstance(part, tuple):
-                out[name] = part[1] if grads else part[0]
-            else:
-                out.update(_prefixed(name, part.grads() if grads else part.params()))
-        return out
-
-    def params(self):
-        return self._flat(grads=False)
-
-    def grads(self):
-        return self._flat(grads=True)
+    """An owner whose parts may be maps and nested composites (a cell, a
+    model); it adds the lists of those maps and of its bare arrays."""
 
     def _leaves(self, kind) -> dict:
         out = {}
@@ -162,7 +161,7 @@ class DenseLinear(LinearMap):
         if self.weight.ndim != 2:
             raise ShapeError(f"weight must be 2-D, got shape {self.weight.shape}")
         self.out_dim, self.in_dim = self.weight.shape
-        self.bias = _check_bias(bias, self.out_dim)
+        self.bias = None if bias is None else _check_bias(bias, self.out_dim)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
 
@@ -189,17 +188,8 @@ class DenseLinear(LinearMap):
             self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weight
 
-    def params(self):
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
-
-    def grads(self):
-        out = {"weight": self.grad_weight}
-        if self.grad_bias is not None:
-            out["bias"] = self.grad_bias
-        return out
+    def parts(self):
+        return [("weight", (self.weight, self.grad_weight)), *self._bias_parts()]
 
 
 class TTLinear(LinearMap):
@@ -209,7 +199,7 @@ class TTLinear(LinearMap):
     def __init__(self, tt: TTMatrix, bias=None):
         self.tt = tt
         self.out_dim, self.in_dim = tt.shape
-        self.bias = _check_bias(bias, self.out_dim)
+        self.bias = None if bias is None else _check_bias(bias, self.out_dim)
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
 
@@ -267,17 +257,9 @@ class TTLinear(LinearMap):
             dz = np.matmul(mats[k].T, dout)
         return dz.reshape(b, self.in_dim)
 
-    def params(self):
-        out = {f"core{k}": g for k, g in enumerate(self.tt.cores)}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
-
-    def grads(self):
-        out = {f"core{k}": g for k, g in enumerate(self.grad_cores)}
-        if self.grad_bias is not None:
-            out["bias"] = self.grad_bias
-        return out
+    def parts(self):
+        pairs = enumerate(zip(self.tt.cores, self.grad_cores))
+        return [(f"core{k}", pair) for k, pair in pairs] + self._bias_parts()
 
 
 # Largest M * N the dense plan will hold (512 KiB of float64 for W.T and as

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .config import TrainConfig
 from .errors import ConfigError, NumericError
 from .models import build_classifier, build_predictor, model_report
 from .optim import Adam, clip_global_norm, global_norm
+from .reader import decode
 from .tasks import bernoulli_frame_nll, frame_counts, softmax_cross_entropy
 
 N_CLASSES = 10
@@ -175,16 +177,15 @@ class RunLog:
 def parse_runlog(path) -> list:
     """Parse epoch records back out of a run log (comments skipped)."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rec = {}
-            for token in line.split():
-                key, _, value = token.partition("=")
-                rec[key] = value
-            records.append(rec)
+    for raw in decode(Path(path).read_bytes(), "utf-8", path).splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rec = {}
+        for token in line.split():
+            key, _, value = token.partition("=")
+            rec[key] = value
+        records.append(rec)
     return records
 
 

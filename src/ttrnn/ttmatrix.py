@@ -224,24 +224,29 @@ def read_ttmatrix(fh: io.BufferedIOBase):
     """Parse the TTM1 layout written by :func:`write_ttmatrix` from the rest
     of ``fh``. Returns ``(TTMatrix, bias or None)``.
     """
-    r = Reader(fh.read(), getattr(fh, "name", "TTM1 data"))
+    return _parse_ttmatrix(fh.read(), getattr(fh, "name", "TTM1 data"))
+
+
+def _parse_ttmatrix(data, source):
+    """:func:`read_ttmatrix` on the bytes ``data``; errors name ``source``."""
+    r = Reader(data, source)
     magic = bytes(r.take(4, "magic"))
     if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        raise FormatError(f"{source}: bad magic {magic!r}, expected {_MAGIC!r}")
     (d,) = r.unpack("<q", "header: core count")
     if not 1 <= d <= 64:
-        raise FormatError(f"implausible core count {d}")
+        raise FormatError(f"{source}: implausible core count {d}")
     fields = r.unpack(f"<{3 * d + 2}q", "header: mode/rank/flag fields")
     out_modes = fields[:d]
     in_modes = fields[d : 2 * d]
     ranks = fields[2 * d : 3 * d + 1]
     bias_flag = fields[3 * d + 1]
     if bias_flag not in (0, 1):
-        raise FormatError(f"bias flag must be 0 or 1, got {bias_flag}")
+        raise FormatError(f"{source}: bias flag must be 0 or 1, got {bias_flag}")
     try:
         spec = TTSpec(out_modes, in_modes, ranks)
     except ShapeError as e:
-        raise FormatError(f"invalid header: {e}") from e
+        raise FormatError(f"{source}: invalid header: {e}") from e
     cores = [r.array("<f8", spec.core_shape(k),
                      f"core {k} of shape {spec.core_shape(k)}")
              for k in range(d)]

@@ -239,6 +239,20 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             SRNNCell(wx, wh, np.zeros(4))
 
+    def test_bias_shape_checked(self):
+        from ttrnn.linear import DenseLinear
+        rng = np.random.default_rng(0)
+        wx = DenseLinear.glorot(4, 3, rng, bias=False)
+        wh = DenseLinear.glorot(4, 4, rng, bias=False)
+        for bias in (np.zeros(5), None):
+            with pytest.raises(ShapeError, match=r"bias must have shape \(4,\)"):
+                SRNNCell(wx, wh, bias)
+        cell = make_cell("gru", 3, 4, rng)
+        biases = {g: np.zeros(4) for g in GRUCell.GATES}
+        biases["z"] = np.zeros((4, 1))
+        with pytest.raises(ShapeError, match=r"bias\[z\] must have shape \(4,\)"):
+            GRUCell(cell.wx, cell.wh, biases)
+
     def test_gru_requires_all_gates(self):
         rng = np.random.default_rng(0)
         from ttrnn.linear import DenseLinear

@@ -144,6 +144,16 @@ class TestCompatibility:
         with pytest.raises(ShapeError, match="incompatible"):
             load_checkpoint(path, big)
 
+    @pytest.mark.parametrize("spare,like", [("arr:cell.extra", "arr:cell.bias_h"),
+                                            ("map:spare.weight", "map:head.weight")])
+    def test_spare_record_rejected(self, tmp_path, spare, like):
+        path = tmp_path / "m.ttcp"
+        save_checkpoint(path, tt_classifier())
+        ckpt = read_checkpoint(path)
+        ckpt.records[spare] = ckpt.records[like]
+        with pytest.raises(ShapeError, match=f"spare record '{spare}'"):
+            load_into_model(ckpt, tt_classifier())
+
     def test_missing_record(self, tmp_path):
         model = tt_classifier()
         path = tmp_path / "m.ttcp"

@@ -178,6 +178,18 @@ class TestEvalCommand:
         assert main(["eval", best, "--config", other]) == 2
         assert "incompatible" in capsys.readouterr().err
 
+    def test_spare_record_is_exit_2(self, tmp_path, capsys):
+        # A 28-wide projection keeps every cell shape of the unprojected
+        # model, so only the projection's records are left over.
+        self._train(tmp_path, capsys, proj=28)
+        other = write_config(tmp_path / "noproj.cfg",
+                             **mnist_fields(tmp_path, proj=0))
+        best = str(tmp_path / "run" / "best.ttcp")
+        assert main(["eval", best, "--config", other]) == 2
+        captured = capsys.readouterr()
+        assert "spare record 'map:proj.weight'" in captured.err
+        assert captured.out == ""
+
     def test_prediction_metrics_printed(self, tmp_path, capsys):
         train = write_pianoroll_fixture(tmp_path, 6, 24, name="tr.txt")
         val = write_pianoroll_fixture(tmp_path, 2, 24, name="va.txt")
@@ -331,8 +343,10 @@ class TestInspectCommand:
         bad = write_ttmap_header_checkpoint(tmp_path / "bad.ttcp",
                                             (2 ** 62,), (1,), (1, 1))
         assert main(["inspect", bad]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("data error:") and "Traceback" not in err
+        assert f"{bad}: record 'map:cell.wx'" in err
+        assert out == ""
 
 
 class TestBenchCommand:

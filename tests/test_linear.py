@@ -156,14 +156,29 @@ class TestBackward:
 
 class TestParams:
     def test_param_dicts_are_live_views(self):
-        layer = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
-        params = layer.params()
-        assert set(params) == {"core0", "core1", "bias"}
-        params["core0"][...] = 0.0
-        assert np.all(layer.tt.cores[0] == 0.0)
-        assert set(layer.grads()) == set(params)
-        for name, p in params.items():
-            assert layer.grads()[name].shape == p.shape
+        rng = np.random.default_rng(0)
+        tt = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
+        tt_bare = make_tt_layer((2, 3, 2), (3, 2, 1), (1, 2, 2, 1), bias=False)
+        dense = DenseLinear.glorot(3, 4, rng)
+        dense_bare = DenseLinear.glorot(3, 4, rng, bias=False)
+        cases = [
+            (tt, {"core0": (tt.tt.cores[0], tt.grad_cores[0]),
+                  "core1": (tt.tt.cores[1], tt.grad_cores[1]),
+                  "bias": (tt.bias, tt.grad_bias)}),
+            (tt_bare, {f"core{k}": (tt_bare.tt.cores[k], tt_bare.grad_cores[k])
+                       for k in range(3)}),
+            (dense, {"weight": (dense.weight, dense.grad_weight),
+                     "bias": (dense.bias, dense.grad_bias)}),
+            (dense_bare, {"weight": (dense_bare.weight, dense_bare.grad_weight)}),
+        ]
+        for layer, live in cases:
+            params, grads = layer.params(), layer.grads()
+            assert list(params) == list(live) and list(grads) == list(live)
+            for key, (arr, grad) in live.items():
+                assert params[key] is arr and grads[key] is grad
+            first = next(iter(live))
+            params[first][...] = 0.0
+            assert np.all(live[first][0] == 0.0)
 
     def test_param_count(self):
         layer = make_tt_layer((10, 10), (4, 8), (1, 5, 1))

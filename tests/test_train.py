@@ -4,7 +4,7 @@ import pytest
 from synthdata import write_idx_fixture, write_pianoroll_fixture
 from ttrnn.checkpoint import load_checkpoint, read_checkpoint
 from ttrnn.config import TrainConfig
-from ttrnn.errors import ConfigError, NumericError
+from ttrnn.errors import ConfigError, FormatError, NumericError
 from ttrnn.models import SequenceClassifier, SequencePredictor
 from ttrnn.optim import Adam
 from ttrnn.train import (
@@ -176,6 +176,12 @@ class TestTrainRun:
         assert parse_runlog(tmp_path / "run" / "run.log") == []
         # The untrained checkpoint still exists for inspection.
         assert (tmp_path / "run" / "best.ttcp").exists()
+
+    def test_undecodable_runlog_is_format_error(self, tmp_path):
+        log = tmp_path / "run.log"
+        log.write_bytes(b"epoch=1 train_loss=0.5\nepoch=2 note=\xff\n")
+        with pytest.raises(FormatError, match="byte 0xff at offset 36"):
+            parse_runlog(log)
 
     def test_logged_cell_count_for_tt_gru(self, tmp_path):
         cfg = mnist_cfg(tmp_path, epochs=0, model="gru", parameterization="tt",
