@@ -21,7 +21,10 @@ A step reads its maps from a dict keyed like ``named_maps()``. ``Cell.step``
 passes the cell's own maps; :func:`unroll` passes the execution plan of
 :func:`ttrnn.linear.execution_plan`, in which small TT maps are dense views
 built once for the whole sequence, and :func:`bptt` flushes those views'
-accumulated gradients into the cores when it is done.
+accumulated gradients into the cores when it is done. :func:`unroll` keeps
+every step's cache for :func:`bptt`; inference (the models' ``forward``)
+runs the same step loop but keeps no step caches, dropping each one
+when the next step's arrives.
 """
 
 from __future__ import annotations
@@ -175,6 +178,42 @@ class GRUCell(Cell):
         return out
 
 
+def _unrolled(cell: Cell, x_seq, mask):
+    """The checks, execution plan and step loop that every unroll shares.
+
+    Returns ``(h_seq, maps, mask, steps)``: ``steps`` is a generator that
+    runs one timestep per item, writes its state into ``h_seq`` and yields
+    the step's cache. ``mask`` comes back reshaped to (T, B, 1), or None
+    when it blends nothing away.
+    """
+    x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
+    if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
+        raise ShapeError(
+            f"x_seq must have shape (T, B, {cell.input_dim}), got {x_seq.shape}"
+        )
+    n_steps, batch = x_seq.shape[:2]
+    if n_steps == 0:
+        raise ShapeError("sequence must have at least one timestep")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (n_steps, batch):
+            raise ShapeError(f"mask must have shape ({n_steps}, {batch})")
+        # Only an all-exactly-1.0 mask blends nothing away: skip its blends.
+        mask = None if np.all(mask == 1.0) else mask.reshape(n_steps, batch, 1)
+    maps = execution_plan(cell.named_maps())
+    h_seq = np.empty((n_steps, batch, cell.hidden_dim))
+
+    def steps():
+        h = np.zeros((batch, cell.hidden_dim))
+        for t in range(n_steps):
+            h_new, cache = cell._step(maps, x_seq[t], h)
+            h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
+            h_seq[t] = h
+            yield cache
+
+    return h_seq, maps, mask, steps()
+
+
 def unroll(cell: Cell, x_seq, mask=None):
     """Run ``cell`` over ``x_seq`` of shape (T, B, D) from a zero state.
 
@@ -185,30 +224,18 @@ def unroll(cell: Cell, x_seq, mask=None):
     whole sequence (see :func:`ttrnn.linear.execution_plan`); ``caches``
     holds it.
     """
-    x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
-    if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
-        raise ShapeError(
-            f"x_seq must have shape (T, B, {cell.input_dim}), got {x_seq.shape}"
-        )
-    steps, batch = x_seq.shape[:2]
-    if steps == 0:
-        raise ShapeError("sequence must have at least one timestep")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (steps, batch):
-            raise ShapeError(f"mask must have shape ({steps}, {batch})")
-        # Only an all-exactly-1.0 mask blends nothing away: skip its blends.
-        mask = None if np.all(mask == 1.0) else mask.reshape(steps, batch, 1)
-    maps = execution_plan(cell.named_maps())
-    h = np.zeros((batch, cell.hidden_dim))
-    h_seq = np.empty((steps, batch, cell.hidden_dim))
-    caches = []
-    for t in range(steps):
-        h_new, cache = cell._step(maps, x_seq[t], h)
-        h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
-        h_seq[t] = h
-        caches.append(cache)
+    h_seq, maps, mask, steps = _unrolled(cell, x_seq, mask)
+    caches = list(steps)
     return h_seq, (maps, caches, mask, h_seq.shape)
+
+
+def _hidden_states(cell: Cell, x_seq, mask):
+    """:func:`unroll` for inference: returns ``h_seq`` alone, holding one
+    step's cache at a time (each is dropped when the next arrives)."""
+    h_seq, _, _, steps = _unrolled(cell, x_seq, mask)
+    for _ in steps:
+        pass
+    return h_seq
 
 
 def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):

@@ -54,7 +54,7 @@ def _write_str(fh, text: str):
 def _read_str(r: Reader, what: str) -> str:
     (n,) = r.unpack("<q", f"{what} length")
     if not 0 <= n <= (1 << 32):
-        raise FormatError(f"implausible {what} length {n}")
+        raise FormatError(f"{r.source}: implausible {what} length {n}")
     return r.text(n, what)
 
 
@@ -147,13 +147,13 @@ class Checkpoint:
     def array(self, name: str) -> np.ndarray:
         kind, payload = self.records[name]
         if kind != KIND_ARRAY:
-            raise FormatError(f"record {name!r} is not an array")
+            raise FormatError(f"{self.source}: record {name!r} is not an array")
         return _parse_array(payload, f"{self.source}: record {name!r}")
 
     def ttmap(self, name: str):
         kind, payload = self.records[name]
         if kind != KIND_TTMAP:
-            raise FormatError(f"record {name!r} is not a TT map")
+            raise FormatError(f"{self.source}: record {name!r} is not a TT map")
         return _parse_ttmatrix(payload, f"{self.source}: record {name!r}")
 
     def meta(self) -> dict:
@@ -163,8 +163,9 @@ class Checkpoint:
             if name.startswith("meta:"):
                 value = self.array(name)
                 if value.size != 1:
-                    raise FormatError(f"record {name!r}: a meta scalar needs "
-                                      f"one value, got shape {value.shape}")
+                    raise FormatError(f"{self.source}: record {name!r}: a meta "
+                                      f"scalar needs one value, got shape "
+                                      f"{value.shape}")
                 out[name[5:]] = value.item()
         return out
 
@@ -173,22 +174,22 @@ def read_checkpoint(path) -> Checkpoint:
     r = Reader(Path(path).read_bytes(), path)
     magic = bytes(r.take(4, "magic"))
     if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     (version,) = r.unpack("<q", "version")
     if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     config_text = _read_str(r, "config text")
     (count,) = r.unpack("<q", "record count")
     if not 0 <= count <= (1 << 20):
-        raise FormatError(f"implausible record count {count}")
+        raise FormatError(f"{path}: implausible record count {count}")
     records = {}
     for i in range(count):
         name = _read_str(r, f"record {i} name")
         kind, length = r.unpack("<2q", f"record {name!r} header")
         if kind not in (KIND_ARRAY, KIND_TTMAP):
-            raise FormatError(f"record {name!r}: unknown kind {kind}")
+            raise FormatError(f"{path}: record {name!r}: unknown kind {kind}")
         if not 0 <= length <= (1 << 40):
-            raise FormatError(f"record {name!r}: implausible length {length}")
+            raise FormatError(f"{path}: record {name!r}: implausible length {length}")
         records[name] = (kind, bytes(r.take(length, f"record {name!r}")))
     r.end()
     ckpt = Checkpoint(version, config_text, records)
@@ -196,17 +197,17 @@ def read_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _load_tt(lm: TTLinear, ckpt: Checkpoint, name: str):
+def _tt_copies(lm: TTLinear, ckpt: Checkpoint, name: str) -> list:
+    """``(model array, checkpoint array)`` pairs for ``lm``'s cores and
+    bias, once record ``name`` is checked against ``lm``."""
     tt, bias = ckpt.ttmap(name)
     if tt.spec != lm.tt.spec:
         raise ShapeError(f"checkpoint incompatible: {name} has spec {tt.spec}, "
                          f"model expects {lm.tt.spec}")
     if (bias is None) != (lm.bias is None):
         raise ShapeError(f"checkpoint incompatible: {name} bias mismatch")
-    for dst, src in zip(lm.tt.cores, tt.cores):
-        dst[...] = src
-    if bias is not None:
-        lm.bias[...] = bias
+    pairs = list(zip(lm.tt.cores, tt.cores))
+    return pairs if bias is None else pairs + [(lm.bias, bias)]
 
 
 def load_into_model(ckpt: Checkpoint, model):
@@ -215,23 +216,28 @@ def load_into_model(ckpt: Checkpoint, model):
 
     Structure must match exactly; a missing record, a shape difference or
     a spare ``map:``/``arr:`` record raises ShapeError naming the offender.
+    Every record is parsed and checked before any is copied, so a load
+    that fails leaves the model as it was.
     """
     slots = _model_slots(model)
+    copies = []  # (destination, source) array pairs
     for name, kind, dst in slots:
         if name not in ckpt.records:
             raise ShapeError(f"checkpoint incompatible: missing record {name!r}")
         if kind == KIND_TTMAP:
-            _load_tt(dst, ckpt, name)
+            copies += _tt_copies(dst, ckpt, name)
             continue
         src = ckpt.array(name)
         if src.shape != dst.shape:
             raise ShapeError(f"checkpoint incompatible: {name} has shape "
                              f"{src.shape}, model expects {dst.shape}")
-        dst[...] = src
+        copies.append((dst, src))
     expected = {name for name, _, _ in slots}
     for name in ckpt.records:
         if name.startswith(("map:", "arr:")) and name not in expected:
             raise ShapeError(f"checkpoint incompatible: spare record {name!r}")
+    for dst, src in copies:
+        dst[...] = src
 
 
 def load_optimizer(ckpt: Checkpoint, optimizer):

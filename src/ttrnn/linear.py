@@ -16,11 +16,17 @@ reverse order during backpropagation.
 of shape ``(B * P_k, r_{k-1} * n_k, Q_k)`` where ``P_k`` is the product of
 output modes already consumed and ``Q_k`` the product of input modes not yet
 consumed. Each step is one batched matmul against the core reshaped to
-``(m_k * r_k, r_{k-1} * n_k)``; every regrouping between steps is a plain
-C-order reshape, which is what makes the row-major index convention load
-bearing. :meth:`TTSpec.sweep_shapes` holds this schedule, and the forward
-and backward passes read their shapes from it. Cost is O(d r^2 m max(M, N))
-per sample instead of O(M N).
+``(m_k * r_k, r_{k-1} * n_k)``, except where ``Q_k = 1`` (always so at the
+last core): there the stack of ``B * P_k`` matvecs runs as one 2-D GEMM
+``z[:, :, 0] @ core.T``, and the backward pass takes the same step as 2-D
+GEMMs on ``(B * P_k, m_k r_k)`` and ``(B * P_k, r_{k-1} n_k)`` views. Every
+regrouping between steps is a plain C-order reshape, which is what makes
+the row-major index convention load bearing. :meth:`TTSpec.sweep_shapes`
+holds this schedule, and the forward and backward passes read their shapes
+from it. Cost is O(d r^2 m max(M, N)) per sample instead of O(M N).
+``forward`` keeps no cache, so it runs the steps before the last through two
+work buffers the layer reuses from call to call; ``forward_cached`` gives
+each step a fresh output, because its cache holds them.
 
 The backward pass replays the same chain in reverse with the cached ``z``
 inputs, so parameter and input gradients are exact (they are the analytic
@@ -202,6 +208,7 @@ class TTLinear(LinearMap):
         self.bias = None if bias is None else _check_bias(bias, self.out_dim)
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
+        self._work = (np.empty(0), np.empty(0))  # forward's step outputs
 
     @classmethod
     def glorot(cls, spec: TTSpec, rng: np.random.Generator,
@@ -220,20 +227,49 @@ class TTLinear(LinearMap):
             for g in self.tt.cores
         ]
 
-    def forward_cached(self, x):
-        x = _check_batch(x, self.in_dim, "input")
+    def _sweep(self, x, mats, work=None):
+        """The core sweep on checked ``x``: returns ``(y, z_inputs)``, the
+        output and each step's input. With ``work``, two flat buffers, the
+        steps before the last write into them in turn instead of into fresh
+        arrays; the last step (``Q_{d-1} = 1``) always returns a fresh one."""
         b = x.shape[0]
-        mats = self._core_matrices()
         z = x
         z_inputs = []
-        for mat, (rows, _, width, cols) in zip(mats, self.tt.spec.sweep_shapes(b)):
+        shapes = self.tt.spec.sweep_shapes(b)
+        for k, (mat, (rows, height, width, cols)) in enumerate(zip(mats, shapes)):
             z = z.reshape(rows, width, cols)
             z_inputs.append(z)
-            z = np.matmul(mat, z)
+            if cols == 1:
+                # One column per block: the stack of matvecs is one 2-D GEMM.
+                z = z[:, :, 0] @ mat.T
+            else:
+                out = None if work is None else (
+                    work[k % 2][: rows * height * cols].reshape(rows, height, cols))
+                z = np.matmul(mat, z, out=out)
         y = z.reshape(b, self.out_dim)
         if self.bias is not None:
             y = y + self.bias
-        return y, (mats, z_inputs, b)
+        return y, z_inputs
+
+    def forward(self, x):
+        """Inference: no cache, so the steps' outputs go to two work
+        buffers the layer keeps and reuses across calls, grown to the
+        largest ``rows * height * cols`` of :meth:`TTSpec.sweep_shapes`.
+        Fresh multi-MB step outputs on every call would each be page
+        faulted in, a cost that grows faster than the map. The result is
+        a fresh array; do not call one layer from two threads at once."""
+        x = _check_batch(x, self.in_dim, "input")
+        size = max(rows * height * cols
+                   for rows, height, _, cols in self.tt.spec.sweep_shapes(x.shape[0]))
+        if self._work[0].size < size:
+            self._work = (np.empty(size), np.empty(size))
+        return self._sweep(x, self._core_matrices(), self._work)[0]
+
+    def forward_cached(self, x):
+        x = _check_batch(x, self.in_dim, "input")
+        mats = self._core_matrices()
+        y, z_inputs = self._sweep(x, mats)
+        return y, (mats, z_inputs, x.shape[0])
 
     def backward(self, grad_out, cache):
         grad_out = _check_batch(grad_out, self.out_dim, "grad_out")
@@ -250,11 +286,16 @@ class TTLinear(LinearMap):
         for k in range(spec.ndim - 1, -1, -1):
             # Gradient wrt step k's output, shaped like that output.
             rows, height, _, cols = shapes[k]
-            dout = dz.reshape(rows, height, cols)
             m, n, r_prev, r_next = spec.core_shape(k)
-            dmat = np.tensordot(dout, z_inputs[k], axes=((0, 2), (0, 2)))
+            if cols == 1:
+                dout = dz.reshape(rows, height)
+                dmat = dout.T @ z_inputs[k][:, :, 0]
+                dz = dout @ mats[k]
+            else:
+                dout = dz.reshape(rows, height, cols)
+                dmat = np.tensordot(dout, z_inputs[k], axes=((0, 2), (0, 2)))
+                dz = np.matmul(mats[k].T, dout)
             self.grad_cores[k] += dmat.reshape(m, r_next, r_prev, n).transpose(0, 3, 2, 1)
-            dz = np.matmul(mats[k].T, dout)
         return dz.reshape(b, self.in_dim)
 
     def parts(self):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -148,27 +149,31 @@ class TestCompatibility:
                                             ("map:spare.weight", "map:head.weight")])
     def test_spare_record_rejected(self, tmp_path, spare, like):
         path = tmp_path / "m.ttcp"
-        save_checkpoint(path, tt_classifier())
+        save_checkpoint(path, tt_classifier(seed=1))
         ckpt = read_checkpoint(path)
         ckpt.records[spare] = ckpt.records[like]
+        model = tt_classifier()
         with pytest.raises(ShapeError, match=f"spare record '{spare}'"):
-            load_into_model(ckpt, tt_classifier())
+            load_into_model(ckpt, model)
+        # Every model record passed its checks, but none was copied.
+        assert params_equal(model, tt_classifier())
 
     def test_missing_record(self, tmp_path):
-        model = tt_classifier()
         path = tmp_path / "m.ttcp"
-        save_checkpoint(path, model)
+        save_checkpoint(path, tt_classifier(seed=1))
         ckpt = read_checkpoint(path)
         del ckpt.records["arr:cell.bias_h"]
+        model = tt_classifier()
         with pytest.raises(ShapeError, match="bias_h"):
-            load_into_model(ckpt, tt_classifier())
+            load_into_model(ckpt, model)
+        assert params_equal(model, tt_classifier())
 
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttcp"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad magic"):
             read_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -193,7 +198,7 @@ class TestCorruption:
 
         path = tmp_path / "v9.ttcp"
         path.write_bytes(MAGIC + struct.pack("<q", 9))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported .* version"):
             read_checkpoint(path)
 
     def test_record_kind_guard(self, tmp_path):
@@ -201,9 +206,9 @@ class TestCorruption:
         path = tmp_path / "m.ttcp"
         save_checkpoint(path, model)
         ckpt = read_checkpoint(path)
-        with pytest.raises(FormatError, match="not a TT map"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .* not a TT map"):
             ckpt.ttmap("arr:cell.bias_h")
-        with pytest.raises(FormatError, match="not an array"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .* not an array"):
             ckpt.array("map:cell.wxh")
 
 

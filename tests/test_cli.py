@@ -313,7 +313,7 @@ class TestInspectCommand:
         bad = tmp_path / "bad.ttcp"
         bad.write_bytes(b"garbage that is not a checkpoint")
         assert main(["inspect", str(bad)]) == 2
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {bad}: bad magic" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape,data", [((-1, -1), [1.0]),
                                             ((2 ** 32, 2 ** 32), [])],

@@ -37,12 +37,17 @@ class TestForward:
         np.testing.assert_allclose(y, x @ w.T + layer.bias, rtol=1e-12, atol=1e-12)
 
     def test_batch_of_one_and_many(self):
-        layer = make_tt_layer((3, 4), (4, 3), (1, 3, 1))
+        # forward reuses its work buffers across calls, growing them for a
+        # larger batch; no result may share memory with them.
+        layer = make_tt_layer((3, 4, 2), (2, 5, 3), (1, 2, 3, 1))
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 12))
         w = layer.tt.to_dense()
-        np.testing.assert_allclose(layer.forward(x), x @ w.T + layer.bias,
-                                   rtol=1e-12, atol=1e-12)
+        xs = [rng.standard_normal((b, 30)) for b in (1, 7, 3, 7)]
+        ys = [layer.forward(x) for x in xs]
+        for x, y in zip(xs, ys):
+            np.testing.assert_allclose(y, x @ w.T + layer.bias,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(y, layer.forward_cached(x)[0])
 
     def test_dense_layer(self):
         rng = np.random.default_rng(3)
@@ -75,22 +80,25 @@ class TestForward:
 class TestBackward:
     @pytest.mark.parametrize("out_m,in_m,ranks", SPECS[:4])
     def test_tt_grads_match_finite_differences(self, out_m, in_m, ranks):
-        layer = make_tt_layer(out_m, in_m, ranks, seed=5)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, layer.in_dim))
-        proj = rng.standard_normal((3, layer.out_dim))
+        # At batch 1 the last core step's 2-D GEMMs have only P_d rows;
+        # with d = 1 that step is also the first.
+        for batch in (1, 3):
+            layer = make_tt_layer(out_m, in_m, ranks, seed=5)
+            rng = np.random.default_rng(11)
+            x = rng.standard_normal((batch, layer.in_dim))
+            proj = rng.standard_normal((batch, layer.out_dim))
 
-        def loss():
-            return float(np.sum(layer.forward(x) * proj))
+            def loss():
+                return float(np.sum(layer.forward(x) * proj))
 
-        y, cache = layer.forward_cached(x)
-        layer.zero_grads()
-        dx = layer.backward(proj, cache)
+            y, cache = layer.forward_cached(x)
+            layer.zero_grads()
+            dx = layer.backward(proj, cache)
 
-        for k, core in enumerate(layer.tt.cores):
-            assert_grads_close(layer.grad_cores[k], numeric_grad(loss, core))
-        assert_grads_close(layer.grad_bias, numeric_grad(loss, layer.bias))
-        assert_grads_close(dx, numeric_grad(loss, x))
+            for k, core in enumerate(layer.tt.cores):
+                assert_grads_close(layer.grad_cores[k], numeric_grad(loss, core))
+            assert_grads_close(layer.grad_bias, numeric_grad(loss, layer.bias))
+            assert_grads_close(dx, numeric_grad(loss, x))
 
     def test_tt_input_grad_matches_dense_path(self):
         layer = make_tt_layer((3, 4, 2), (2, 5, 3), (1, 2, 3, 1), seed=8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttrnn import ShapeError
+from ttrnn import ShapeError, linear
 from ttrnn.models import (
     build_classifier,
     build_predictor,
@@ -27,18 +27,34 @@ def small_predictor(seed=0, tt=False):
                            rng=np.random.default_rng(seed), proj_dim=4, **kw)
 
 
+# (tt, plan): a dense cell, and a TT cell under each execution plan.
+VARIANTS = ((False, "dense"), (True, "dense"), (True, "sweep"))
+
+
+def models_under(monkeypatch, factory):
+    """``factory(tt=...)`` for each of VARIANTS, its TT maps forced onto
+    the variant's plan."""
+    for tt, plan in VARIANTS:
+        monkeypatch.setattr(linear, "takes_dense_plan", lambda spec, plan=plan: plan == "dense")
+        yield factory(tt=tt)
+
+
 class TestClassifier:
-    def test_forward_shape_and_loss_consistency(self):
-        model = small_classifier()
+    def test_forward_shape_and_loss_consistency(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, 3, 5))
         labels = np.array([0, 2, 1])
-        logits = model.forward(x)
-        assert logits.shape == (3, 3)
-        loss, logits2 = model.loss_and_grads(x, None, labels)
-        np.testing.assert_allclose(logits2, logits, rtol=1e-13, atol=1e-13)
-        want, _ = softmax_cross_entropy(logits, labels)
-        assert loss == pytest.approx(want, rel=1e-12)
+        padded = np.ones((7, 3))
+        padded[4:, 1] = 0.0
+        for model in models_under(monkeypatch, small_classifier):
+            for mask in (None, padded):
+                logits = model.forward(x, mask)
+                assert logits.shape == (3, 3)
+                loss, logits2 = model.loss_and_grads(x, mask, labels)
+                # Inference runs the training forward's operations, cacheless.
+                np.testing.assert_array_equal(logits2, logits)
+                want, _ = softmax_cross_entropy(logits, labels)
+                assert loss == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("tt", [False, True], ids=["dense", "tt"])
     def test_whole_model_gradients(self, tt):
@@ -70,18 +86,20 @@ class TestClassifier:
 
 
 class TestPredictor:
-    def test_forward_shape_and_loss_consistency(self):
-        model = small_predictor()
+    def test_forward_shape_and_loss_consistency(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 2, 4))
         targets = (rng.random((5, 2, 4)) < 0.4).astype(float)
-        mask = np.ones((5, 2))
-        logits = model.forward(x, mask)
-        assert logits.shape == (5, 2, 4)
-        loss, logits2 = model.loss_and_grads(x, mask, targets)
-        np.testing.assert_allclose(logits2, logits, rtol=1e-13, atol=1e-13)
-        want, _ = bernoulli_frame_nll(logits, targets, mask)
-        assert loss == pytest.approx(want, rel=1e-12)
+        padded = np.ones((5, 2))
+        padded[3:, 0] = 0.0
+        for model in models_under(monkeypatch, small_predictor):
+            for mask in (np.ones((5, 2)), padded):
+                logits = model.forward(x, mask)
+                assert logits.shape == (5, 2, 4)
+                loss, logits2 = model.loss_and_grads(x, mask, targets)
+                np.testing.assert_array_equal(logits2, logits)
+                want, _ = bernoulli_frame_nll(logits, targets, mask)
+                assert loss == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("tt", [False, True], ids=["dense", "tt"])
     def test_whole_model_gradients(self, tt):
