@@ -44,6 +44,7 @@ def sigmoid(x):
 class Cell(Composite):
     """Interface shared by the recurrent cells."""
 
+    kind: str  # "srnn" or "gru", as configs and reports name it
     input_dim: int
     hidden_dim: int
 
@@ -65,6 +66,8 @@ class Cell(Composite):
 
 class SRNNCell(Cell):
     """h_t = tanh(W_xh x_t + W_hh h_{t-1} + b)."""
+
+    kind = "srnn"
 
     def __init__(self, wx: LinearMap, wh: LinearMap, bias):
         if wx.out_dim != wh.out_dim or wh.in_dim != wh.out_dim:
@@ -108,6 +111,7 @@ class GRUCell(Cell):
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
     """
 
+    kind = "gru"
     GATES = ("r", "z", "h")
 
     def __init__(self, wx: dict, wh: dict, biases: dict):

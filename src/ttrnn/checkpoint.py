@@ -8,8 +8,8 @@ Layout (all integers little-endian int64):
 Each record is ``name`` (length-prefixed utf-8), ``kind``, payload length,
 payload bytes. Kind 0 is a raw float64 array (ndim, dims..., data); kind 1
 is a complete TT map blob in the TTM1 layout, bias included. The reader
-rejects any other kind, and a record's payload length bounds the parse of
-its contents.
+rejects any other kind and a repeated name, and a record's payload length
+bounds the parse of its contents.
 
 A model is saved as, and loaded from, one record list
 (:func:`_model_slots`), named after its ``params()`` keys: a TT map is one
@@ -185,6 +185,8 @@ def read_checkpoint(path) -> Checkpoint:
     records = {}
     for i in range(count):
         name = _read_str(r, f"record {i} name")
+        if name in records:
+            raise FormatError(f"{path}: record {name!r}: name repeated")
         kind, length = r.unpack("<2q", f"record {name!r} header")
         if kind not in (KIND_ARRAY, KIND_TTMAP):
             raise FormatError(f"{path}: record {name!r}: unknown kind {kind}")

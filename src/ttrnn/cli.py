@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bench as B
-from .checkpoint import load_into_model, read_checkpoint
-from .config import BenchConfig, TrainConfig, parse_kv
+from .checkpoint import read_checkpoint
+from .config import BenchConfig, TrainConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -24,8 +22,8 @@ from .errors import (
     SizeError,
 )
 from .linear import takes_dense_plan
-from .tasks import ModelReport
-from .train import build_model, evaluate, load_split, make_eval_batches, train_run
+from .models import model_report
+from .train import evaluate, load_split, make_eval_batches, restore_model, train_run
 
 
 class _UsageError(Exception):
@@ -86,19 +84,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_from_checkpoint(ckpt, config_path):
-    if config_path is not None:
-        return TrainConfig.from_file(config_path)
-    if not ckpt.config_text.strip():
-        raise ConfigError("checkpoint carries no config; pass --config")
-    return TrainConfig.from_dict(parse_kv(ckpt.config_text, source="<checkpoint>"))
-
-
 def cmd_eval(args) -> int:
-    ckpt = read_checkpoint(args.checkpoint)
-    cfg = _config_from_checkpoint(ckpt, args.config)
-    model = build_model(cfg, np.random.default_rng(cfg.seed_init))
-    load_into_model(ckpt, model)
+    cfg, model = restore_model(read_checkpoint(args.checkpoint), args.config)
     sequences, labels = load_split(cfg, args.split)
     batches = make_eval_batches(cfg, sequences, labels)
     loss, metric = evaluate(model, batches, cfg.is_classification())
@@ -113,61 +100,40 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _describe_record(ckpt, name: str, kind: int):
+def _describe_record(ckpt, name: str, kind: int) -> str:
     if kind == 1:
         tt, bias = ckpt.ttmap(name)
         spec = tt.spec
         count = spec.param_count() + (0 if bias is None else spec.out_dim)
         plan = "dense" if takes_dense_plan(spec) else "sweep"
-        desc = (f"tt modes {'x'.join(map(str, spec.out_modes))} by "
+        return (f"tt modes {'x'.join(map(str, spec.out_modes))} by "
                 f"{'x'.join(map(str, spec.in_modes))} "
                 f"ranks {'-'.join(map(str, spec.ranks))} params {count} "
                 f"plan {plan}")
-        return count, desc
     arr = ckpt.array(name)
     shape = "x".join(map(str, arr.shape)) if arr.ndim else "scalar"
-    return arr.size, f"array {shape} params {arr.size}"
+    return f"array {shape} params {arr.size}"
 
 
 def cmd_inspect(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     meta = ckpt.meta()
-    # Printed only once every record has parsed, so a failure prints nothing.
+    # Printed only once every record has parsed and, with a config, loaded
+    # into that config's model, so a failure prints nothing.
     lines = [f"checkpoint: {args.checkpoint}"]
-    cell_total = 0
-    non_cell_total = 0  # projection + head
-    opt_records = 0
     for name in sorted(ckpt.records):
-        kind, _ = ckpt.records[name]
-        if name.startswith("opt:"):
-            opt_records += 1
-            continue
         if name.startswith("meta:"):
             lines.append(f"{name} = {meta[name[5:]]!r}")
-            continue
-        count, desc = _describe_record(ckpt, name, kind)
-        lines.append(f"{name}: {desc}")
-        if name.startswith(("map:cell.", "arr:cell.")):
-            cell_total += count
-        else:
-            non_cell_total += count
+        elif not name.startswith("opt:"):
+            kind, _ = ckpt.records[name]
+            lines.append(f"{name}: {_describe_record(ckpt, name, kind)}")
+    opt_records = sum(name.startswith("opt:") for name in ckpt.records)
     if opt_records:
         lines.append(f"optimizer state: {opt_records} tensors")
     if ckpt.config_text.strip():
-        cfg = _config_from_checkpoint(ckpt, None)
+        cfg, model = restore_model(ckpt)
         lines.append(f"config hash: {cfg.digest()}")
-        report = ModelReport.build(
-            cfg.model, cfg.cell_input_dim(), cfg.hidden,
-            extra_params=non_cell_total,
-            baseline_hidden=cfg.baseline_hidden or None, **cfg.tt_args(),
-        )
-        if report.cell_params != cell_total:
-            raise ShapeError(
-                f"checkpoint incompatible: stored cell params {cell_total} "
-                f"differ from config's {report.cell_params}")
-        lines += report.lines()
-    else:
-        lines.append(f"cell params: {cell_total}")
+        lines += model_report(model, cfg.baseline_hidden or None).lines()
     print("\n".join(lines))
     return 0
 

@@ -222,7 +222,7 @@ class TrainConfig(KVConfig):
 
     def tt_args(self) -> dict:
         """``in_modes``, ``hidden_modes`` and ``rank`` of the cell's TT maps,
-        as model builders and reports take them; all None for a dense cell."""
+        as the model builders take them; all None for a dense cell."""
         tt = self.parameterization == "tt"
         return {"in_modes": self.input_modes if tt else None,
                 "hidden_modes": self.hidden_modes if tt else None,

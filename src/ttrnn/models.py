@@ -21,6 +21,7 @@ from .linear import Composite, DenseLinear, LinearMap, TTLinear
 from .tasks import (
     ModelReport,
     bernoulli_frame_nll,
+    cell_param_count,
     softmax_cross_entropy,
 )
 from .ttmatrix import TTSpec
@@ -196,11 +197,27 @@ def build_predictor(frame_dim: int, cell_kind: str, hidden_dim: int, rng,
                   hidden_dim, rng, proj_dim, in_modes, hidden_modes, rank)
 
 
-def model_report(model: _ProjectedModel, cell_kind: str, in_modes=None,
-                 hidden_modes=None, rank=None,
-                 baseline_hidden=None) -> ModelReport:
-    return ModelReport.build(
-        cell_kind, model.cell.input_dim, model.cell.hidden_dim,
-        in_modes=in_modes, hidden_modes=hidden_modes, rank=rank,
-        extra_params=model.extra_param_count(), baseline_hidden=baseline_hidden,
+def model_report(model: _ProjectedModel, baseline_hidden=None) -> ModelReport:
+    """Parameter accounting read off the live model: the cell's kind,
+    widths, TT modes and parameter count, and the count outside it. Only
+    the dense baseline (hidden size ``baseline_hidden``, by default the
+    cell's own) comes from the :func:`cell_param_count` formula. The rank
+    is the largest internal rank of the cell's input map, so a one-core
+    map reports 1."""
+    cell = model.cell
+    # Both cells list their (first) input map first in parts().
+    imap = next(iter(cell.named_maps().values()))
+    spec = imap.tt.spec if isinstance(imap, TTLinear) else None
+    if baseline_hidden is None:
+        baseline_hidden = cell.hidden_dim
+    return ModelReport(
+        cell_kind=cell.kind, input_dim=cell.input_dim,
+        hidden_dim=cell.hidden_dim,
+        in_modes=None if spec is None else spec.in_modes,
+        hidden_modes=None if spec is None else spec.out_modes,
+        rank=None if spec is None else max(spec.ranks),
+        baseline_hidden=baseline_hidden, cell_params=cell.param_count(),
+        dense_cell_params=cell_param_count(cell.kind, cell.input_dim,
+                                           baseline_hidden),
+        extra_params=model.extra_param_count(),
     )

@@ -170,13 +170,13 @@ class ModelReport:
     input width, leaving projections and output heads out. The baseline's
     hidden size defaults to the cell's own but can be pinned to a named
     reference model (published tables compare TT cells against a fixed
-    dense baseline even when the TT hidden state is wider).
+    dense baseline even when the TT hidden state is wider). The TT fields
+    are None for a dense cell.
     """
 
     cell_kind: str
     input_dim: int
     hidden_dim: int
-    compressed: bool
     in_modes: tuple | None
     hidden_modes: tuple | None
     rank: int | None
@@ -193,29 +193,11 @@ class ModelReport:
     def ratio(self) -> float:
         return compression_ratio(self.dense_cell_params, self.cell_params)
 
-    @classmethod
-    def build(cls, cell_kind: str, input_dim: int, hidden_dim: int,
-              in_modes=None, hidden_modes=None, rank: int | None = None,
-              extra_params: int = 0,
-              baseline_hidden: int | None = None) -> "ModelReport":
-        if baseline_hidden is None:
-            baseline_hidden = hidden_dim
-        cell = cell_param_count(cell_kind, input_dim, hidden_dim, in_modes,
-                                hidden_modes, rank)
-        dense = cell_param_count(cell_kind, input_dim, baseline_hidden)
-        return cls(cell_kind=cell_kind, input_dim=input_dim,
-                   hidden_dim=hidden_dim, compressed=in_modes is not None,
-                   in_modes=None if in_modes is None else tuple(in_modes),
-                   hidden_modes=None if hidden_modes is None else tuple(hidden_modes),
-                   rank=rank, baseline_hidden=baseline_hidden,
-                   cell_params=cell, dense_cell_params=dense,
-                   extra_params=extra_params)
-
     def lines(self) -> list[str]:
         out = [
             f"cell: {self.cell_kind} {self.input_dim} -> {self.hidden_dim}",
         ]
-        if self.compressed:
+        if self.rank is not None:
             out.append(f"tt: hidden modes {'x'.join(map(str, self.hidden_modes))}, "
                        f"input modes {'x'.join(map(str, self.in_modes))}, "
                        f"rank {self.rank}")

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from .checkpoint import save_checkpoint
-from .config import TrainConfig
+from .checkpoint import load_into_model, save_checkpoint
+from .config import TrainConfig, parse_kv
 from .errors import ConfigError, NumericError
 from .models import build_classifier, build_predictor, model_report
 from .optim import Adam, clip_global_norm, global_norm
@@ -35,10 +35,21 @@ def build_model(cfg: TrainConfig, rng):
     return build_predictor(cfg.frame_dim(), cfg.model, cfg.hidden, rng, **kwargs)
 
 
-def report_for(cfg: TrainConfig, model):
-    return model_report(model, cfg.model,
-                        baseline_hidden=cfg.baseline_hidden or None,
-                        **cfg.tt_args())
+def restore_model(ckpt, config_path=None):
+    """``(cfg, model)`` for a read checkpoint: the config from
+    ``config_path``, else the one ``ckpt`` embeds, and that config's model
+    holding the stored weights. A record the model has no exact place for
+    raises ShapeError naming it (see :func:`load_into_model`)."""
+    if config_path is not None:
+        cfg = TrainConfig.from_file(config_path)
+    elif ckpt.config_text.strip():
+        cfg = TrainConfig.from_dict(parse_kv(ckpt.config_text,
+                                             source="<checkpoint>"))
+    else:
+        raise ConfigError("checkpoint carries no config; pass --config")
+    model = build_model(cfg, np.random.default_rng(cfg.seed_init))
+    load_into_model(ckpt, model)
+    return cfg, model
 
 
 def _read_images(cfg: TrainConfig, images, labels, fields: str):
@@ -211,7 +222,7 @@ def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
 
     rng = np.random.default_rng(cfg.seed_init)
     model = build_model(cfg, rng)
-    report = report_for(cfg, model)
+    report = model_report(model, cfg.baseline_hidden or None)
 
     log = RunLog(os.path.join(out_dir, "run.log"))
     log.comment(f"config hash {digest}")

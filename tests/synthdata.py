@@ -91,16 +91,18 @@ def write_pianoroll_fixture(dir_path, n_songs: int = 8, length: int = 40,
 
 
 def write_one_record_checkpoint(path, name: str, kind: int, payload: bytes,
-                                config: bytes = b"", length=None):
-    """A checkpoint of raw config text ``config`` and one record whose
-    header claims ``length`` payload bytes (default: those of ``payload``)."""
+                                config: bytes = b"", length=None, copies=1):
+    """A checkpoint of raw config text ``config`` and ``copies`` identical
+    records whose headers claim ``length`` payload bytes (default: those of
+    ``payload``)."""
     def text(raw: bytes) -> bytes:
         return struct.pack("<q", len(raw)) + raw
 
     length = len(payload) if length is None else length
+    record = (text(name.encode("utf-8")) + struct.pack("<qq", kind, length)
+              + payload)
     path.write_bytes(MAGIC + struct.pack("<q", VERSION) + text(config)
-                     + struct.pack("<q", 1) + text(name.encode("utf-8"))
-                     + struct.pack("<qq", kind, length) + payload)
+                     + struct.pack("<q", copies) + record * copies)
     return str(path)
 
 

@@ -1,10 +1,12 @@
 import io
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from ttrnn.checkpoint import (
+    KIND_ARRAY,
     MAGIC,
     load_checkpoint,
     load_into_model,
@@ -15,7 +17,7 @@ from ttrnn.checkpoint import (
 from ttrnn.errors import FormatError, ShapeError
 from ttrnn.models import build_classifier, build_predictor
 from ttrnn.optim import Adam
-from synthdata import write_array_record_checkpoint
+from synthdata import write_array_record_checkpoint, write_one_record_checkpoint
 
 
 def tt_classifier(seed=0, rank=2):
@@ -194,8 +196,6 @@ class TestCorruption:
             read_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        import struct
-
         path = tmp_path / "v9.ttcp"
         path.write_bytes(MAGIC + struct.pack("<q", 9))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported .* version"):
@@ -222,6 +222,14 @@ class TestCorruption:
         ckpt = read_checkpoint(path)
         with pytest.raises(FormatError, match="arr:cell.bias"):
             ckpt.array("arr:cell.bias")
+
+    def test_repeated_record_name(self, tmp_path):
+        payload = struct.pack("<qqd", 1, 1, 1.0)
+        path = write_one_record_checkpoint(tmp_path / "dup.ttcp", "arr:x",
+                                           KIND_ARRAY, payload, copies=2)
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: record "
+                                              f"'arr:x': name repeated"):
+            read_checkpoint(path)
 
     @pytest.mark.parametrize("shape,data", [((0,), []), ((2,), [1.0, 2.0])],
                              ids=["empty", "two-values"])

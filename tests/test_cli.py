@@ -247,15 +247,20 @@ class TestEvalCommand:
 
 
 class TestInspectCommand:
+    def demo_config(self, tmp_path, name="demo.cfg", **overrides):
+        """An epochs-0 config shaped like configs/inspect-demo.cfg."""
+        fields = dict(task="pianoroll", model="srnn", parameterization="tt",
+                      hidden=0, hidden_modes="8x4x8x4",
+                      input_modes="4x4x4x4", proj=256, rank=5,
+                      baseline_hidden=512, epochs=0,
+                      out_dir=str(tmp_path / "demo"))
+        fields.update(overrides)
+        return write_config(tmp_path / name, **fields)
+
     def test_published_tt_cell_counts(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "c.cfg", task="pianoroll", model="srnn",
-            parameterization="tt", hidden=0, hidden_modes="8x4x8x4",
-            input_modes="4x4x4x4", proj=256, rank=5, baseline_hidden=512,
-            epochs=0, out_dir=str(tmp_path / "run"))
-        assert main(["train", cfg]) == 0
+        assert main(["train", self.demo_config(tmp_path)]) == 0
         capsys.readouterr()
-        assert main(["inspect", str(tmp_path / "run" / "best.ttcp")]) == 0
+        assert main(["inspect", str(tmp_path / "demo" / "best.ttcp")]) == 0
         out = capsys.readouterr().out
         assert "cell params: 4864" in out
         assert "compression ratio: 80.95" in out
@@ -263,12 +268,7 @@ class TestInspectCommand:
 
     def test_each_tt_map_shows_its_plan(self, tmp_path, capsys):
         # inspect-demo's 1024-wide maps keep the sweep ...
-        cfg = write_config(
-            tmp_path / "demo.cfg", task="pianoroll", model="srnn",
-            parameterization="tt", hidden=0, hidden_modes="8x4x8x4",
-            input_modes="4x4x4x4", proj=256, rank=5, baseline_hidden=512,
-            epochs=0, out_dir=str(tmp_path / "demo"))
-        assert main(["train", cfg]) == 0
+        assert main(["train", self.demo_config(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["inspect", str(tmp_path / "demo" / "best.ttcp")]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines()
@@ -308,6 +308,33 @@ class TestInspectCommand:
         # 32*32 + 32*32 + 32 = a dense srnn cell of the same size.
         assert "cell params: 2080" in out
         assert "compression ratio: 1.00" in out
+        # One core has no internal rank, so the report shows 1 whatever the
+        # config's rank.
+        assert "tt: hidden modes 32, input modes 32, rank 1" in out
+
+    def test_config_the_records_do_not_fit_is_exit_2(self, tmp_path, capsys):
+        # Same cell parameter count (4864) under swapped hidden modes: the
+        # embedded config describes maps the file does not hold.
+        cfg = TrainConfig.from_file(self.demo_config(tmp_path))
+        model = build_model(cfg, np.random.default_rng(0))
+        other = TrainConfig.from_file(
+            self.demo_config(tmp_path, "other.cfg", hidden_modes="4x8x4x8"))
+        path = tmp_path / "swapped.ttcp"
+        save_checkpoint(path, model, other.to_text())
+        assert main(["inspect", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error:") and "map:cell.wx" in err
+
+    def test_without_config_lists_records_only(self, tmp_path, capsys):
+        cfg = TrainConfig.from_file(self.demo_config(tmp_path))
+        path = tmp_path / "bare.ttcp"
+        save_checkpoint(path, build_model(cfg, np.random.default_rng(0)))
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("map:cell.wx: tt modes 8x4x8x4 by 4x4x4x4 ranks 1-5-5-5-1 "
+                "params 1440 plan sweep") in out
+        assert "config hash" not in out and "cell params" not in out
 
     def test_corrupt_checkpoint_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ttcp"
@@ -325,19 +352,22 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("config,name,payload,length", [
-        (b"", "arr:x", b"abc", 2 ** 40),
-        (b"\xff\xfe", "arr:x", struct.pack("<qqd", 1, 1, 1.0), None),
-        (b"", "meta:epoch", struct.pack("<qq", 1, 0), None),
+    @pytest.mark.parametrize("config,name,payload,length,copies", [
+        (b"", "arr:x", b"abc", 2 ** 40, 1),
+        (b"\xff\xfe", "arr:x", struct.pack("<qqd", 1, 1, 1.0), None, 1),
+        (b"", "meta:epoch", struct.pack("<qq", 1, 0), None, 1),
+        (b"", "arr:x", struct.pack("<qqd", 1, 1, 1.0), None, 2),
     ], ids=["record-length-2^40", "undecodable-config-text",
-            "empty-meta-scalar"])
+            "empty-meta-scalar", "repeated-record-name"])
     def test_malformed_container_is_exit_2(self, tmp_path, capsys, config,
-                                           name, payload, length):
+                                           name, payload, length, copies):
         bad = write_one_record_checkpoint(tmp_path / "bad.ttcp", name,
-                                          KIND_ARRAY, payload, config, length)
+                                          KIND_ARRAY, payload, config, length,
+                                          copies)
         assert main(["inspect", bad]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("data error:") and "Traceback" not in err
+        assert out == ""
 
     def test_oversized_tt_core_is_exit_2(self, tmp_path, capsys):
         bad = write_ttmap_header_checkpoint(tmp_path / "bad.ttcp",

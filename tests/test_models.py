@@ -1,9 +1,12 @@
 """End-to-end task models: forward shapes, whole-model gradients, accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
+from test_acceptance import COUNTS
 from ttrnn import ShapeError, linear
 from ttrnn.models import (
     build_classifier,
@@ -11,7 +14,7 @@ from ttrnn.models import (
     make_map,
     model_report,
 )
-from ttrnn.tasks import bernoulli_frame_nll, softmax_cross_entropy
+from ttrnn.tasks import bernoulli_frame_nll, cell_param_count, softmax_cross_entropy
 
 
 def small_classifier(seed=0, tt=False):
@@ -125,9 +128,9 @@ class TestAccounting:
                                  hidden_dim=100, rng=np.random.default_rng(0),
                                  proj_dim=32, in_modes=(4, 8),
                                  hidden_modes=(10, 10), rank=5)
-        rep = model_report(model, "gru", in_modes=(4, 8),
-                           hidden_modes=(10, 10), rank=5)
+        rep = model_report(model)
         assert rep.cell_params == 5100
+        assert (rep.in_modes, rep.hidden_modes, rep.rank) == ((4, 8), (10, 10), 5)
         # projection 32*28+32, head 10*100+10
         assert rep.extra_params == (32 * 28 + 32) + (10 * 100 + 10)
         assert rep.total_params == model.param_count()
@@ -136,9 +139,24 @@ class TestAccounting:
         model = build_predictor(frame_dim=8, cell_kind="srnn", hidden_dim=8,
                                 rng=np.random.default_rng(0))
         assert model.projection is None
-        rep = model_report(model, "srnn")
+        rep = model_report(model)
         assert rep.extra_params == 8 * 8 + 8
         assert rep.total_params == model.param_count()
+
+    @pytest.mark.parametrize(
+        "kind,d_in,hid,im,hm,rank",
+        [row[:6] for row in COUNTS
+         if row[3] is None or (math.prod(row[3]), math.prod(row[4])) == row[1:3]])
+    def test_live_count_is_the_published_formula(self, kind, d_in, hid, im, hm,
+                                                 rank):
+        # Reports count the live cell and only the tests use the formula,
+        # so this is what keeps the two equal.
+        model = build_predictor(frame_dim=d_in, cell_kind=kind, hidden_dim=hid,
+                                rng=np.random.default_rng(0), in_modes=im,
+                                hidden_modes=hm, rank=rank)
+        assert (model_report(model).cell_params
+                == cell_param_count(kind, d_in, hid, im, hm, rank)
+                == model.cell.param_count())
 
 
 class TestParameterKeys:

@@ -7,8 +7,8 @@ import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import DataError, ShapeError
+from ttrnn.models import build_predictor, model_report
 from ttrnn.tasks import (
-    ModelReport,
     bernoulli_frame_nll,
     cell_param_count,
     classification_accuracy,
@@ -193,19 +193,23 @@ class TestParamAccounting:
 
 class TestModelReport:
     def test_build_and_totals(self):
-        rep = ModelReport.build("gru", 32, 100, in_modes=(4, 8),
-                                hidden_modes=(10, 10), rank=5,
-                                extra_params=1234)
+        model = build_predictor(frame_dim=32, cell_kind="gru", hidden_dim=100,
+                                rng=np.random.default_rng(0), in_modes=(4, 8),
+                                hidden_modes=(10, 10), rank=5)
+        rep = model_report(model)
         assert rep.cell_params == 5100
         # 3 * (100*32 + 100*100 + 100)
         assert rep.dense_cell_params == cell_param_count("gru", 32, 100) == 39900
-        assert rep.total_params == 5100 + 1234
+        # head 32*100 + 32
+        assert rep.total_params == 5100 + 3232 == model.param_count()
         assert rep.ratio == pytest.approx(39900 / 5100)
         text = "\n".join(rep.lines())
         assert "rank 5" in text and "5100" in text
 
     def test_dense_report(self):
-        rep = ModelReport.build("srnn", 32, 100, extra_params=10)
+        model = build_predictor(frame_dim=32, cell_kind="srnn", hidden_dim=100,
+                                rng=np.random.default_rng(0))
+        rep = model_report(model)
         assert rep.cell_params == rep.dense_cell_params
         assert rep.ratio == pytest.approx(1.0)
         assert "dense" in "\n".join(rep.lines())
