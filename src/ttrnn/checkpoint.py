@@ -8,8 +8,8 @@ Layout (all integers little-endian int64):
 Each record is ``name`` (length-prefixed utf-8), ``kind``, payload length,
 payload bytes. Kind 0 is a raw float64 array (ndim, dims..., data); kind 1
 is a complete TT map blob in the TTM1 layout, bias included. The reader
-rejects any other kind and a repeated name, and a record's payload length
-bounds the parse of its contents.
+rejects any other kind and a repeated name, and parses every record as it
+reads it; a record's payload length bounds the parse of its contents.
 
 A model is saved as, and loaded from, one record list
 (:func:`_model_slots`), named after its ``params()`` keys: a TT map is one
@@ -135,42 +135,49 @@ def save_checkpoint(path, model, config_text: str = "", optimizer=None,
 
 
 class Checkpoint:
-    """Parsed container: config text plus named records."""
+    """Parsed container: config text plus named records, each checked."""
 
     source = "checkpoint"  # what record errors name; the path once read
 
     def __init__(self, version: int, config_text: str, records: dict):
         self.version = version
         self.config_text = config_text
-        self.records = records  # name -> (kind, payload bytes)
+        # name -> (kind, array for kind 0 or (TTMatrix, bias) for kind 1)
+        self.records = records
+
+    def _value(self, name: str, kind: int, what: str):
+        found, value = self.records[name]
+        if found != kind:
+            raise FormatError(f"{self.source}: record {name!r} is not {what}")
+        return value
 
     def array(self, name: str) -> np.ndarray:
-        kind, payload = self.records[name]
-        if kind != KIND_ARRAY:
-            raise FormatError(f"{self.source}: record {name!r} is not an array")
-        return _parse_array(payload, f"{self.source}: record {name!r}")
+        return self._value(name, KIND_ARRAY, "an array")
 
     def ttmap(self, name: str):
-        kind, payload = self.records[name]
-        if kind != KIND_TTMAP:
-            raise FormatError(f"{self.source}: record {name!r} is not a TT map")
-        return _parse_ttmatrix(payload, f"{self.source}: record {name!r}")
+        return self._value(name, KIND_TTMAP, "a TT map")
 
     def meta(self) -> dict:
-        """The ``meta:`` scalars by key; each record must be one float64."""
-        out = {}
-        for name in self.records:
-            if name.startswith("meta:"):
-                value = self.array(name)
-                if value.size != 1:
-                    raise FormatError(f"{self.source}: record {name!r}: a meta "
-                                      f"scalar needs one value, got shape "
-                                      f"{value.shape}")
-                out[name[5:]] = value.item()
-        return out
+        """The ``meta:`` scalars by key."""
+        return {name[5:]: self.array(name).item() for name in self.records
+                if name.startswith("meta:")}
+
+
+def _parse_record(name: str, kind: int, payload, where: str):
+    """A record's value; a ``meta:`` record must be an array of one value."""
+    if name.startswith("meta:") and kind != KIND_ARRAY:
+        raise FormatError(f"{where} is not an array")
+    if kind == KIND_TTMAP:
+        return _parse_ttmatrix(payload, where)
+    value = _parse_array(payload, where)
+    if name.startswith("meta:") and value.size != 1:
+        raise FormatError(f"{where}: a meta scalar needs one value, got shape "
+                          f"{value.shape}")
+    return value
 
 
 def read_checkpoint(path) -> Checkpoint:
+    """Read and check every record of the checkpoint at ``path``."""
     r = Reader(Path(path).read_bytes(), path)
     magic = bytes(r.take(4, "magic"))
     if magic != MAGIC:
@@ -192,7 +199,9 @@ def read_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: record {name!r}: unknown kind {kind}")
         if not 0 <= length <= (1 << 40):
             raise FormatError(f"{path}: record {name!r}: implausible length {length}")
-        records[name] = (kind, bytes(r.take(length, f"record {name!r}")))
+        payload = r.take(length, f"record {name!r}")
+        records[name] = (kind, _parse_record(name, kind, payload,
+                                             f"{path}: record {name!r}"))
     r.end()
     ckpt = Checkpoint(version, config_text, records)
     ckpt.source = path
@@ -204,10 +213,11 @@ def _tt_copies(lm: TTLinear, ckpt: Checkpoint, name: str) -> list:
     bias, once record ``name`` is checked against ``lm``."""
     tt, bias = ckpt.ttmap(name)
     if tt.spec != lm.tt.spec:
-        raise ShapeError(f"checkpoint incompatible: {name} has spec {tt.spec}, "
-                         f"model expects {lm.tt.spec}")
+        raise ShapeError(f"{ckpt.source}: checkpoint incompatible: {name} has "
+                         f"spec {tt.spec}, model expects {lm.tt.spec}")
     if (bias is None) != (lm.bias is None):
-        raise ShapeError(f"checkpoint incompatible: {name} bias mismatch")
+        raise ShapeError(f"{ckpt.source}: checkpoint incompatible: {name} "
+                         f"bias mismatch")
     pairs = list(zip(lm.tt.cores, tt.cores))
     return pairs if bias is None else pairs + [(lm.bias, bias)]
 
@@ -217,39 +227,39 @@ def load_into_model(ckpt: Checkpoint, model):
     record list :func:`save_checkpoint` writes.
 
     Structure must match exactly; a missing record, a shape difference or
-    a spare ``map:``/``arr:`` record raises ShapeError naming the offender.
-    Every record is parsed and checked before any is copied, so a load
+    a spare ``map:``/``arr:`` record raises ShapeError naming the file and
+    the offender. Every record is checked before any is copied, so a load
     that fails leaves the model as it was.
     """
     slots = _model_slots(model)
     copies = []  # (destination, source) array pairs
+    incompatible = f"{ckpt.source}: checkpoint incompatible:"
     for name, kind, dst in slots:
         if name not in ckpt.records:
-            raise ShapeError(f"checkpoint incompatible: missing record {name!r}")
+            raise ShapeError(f"{incompatible} missing record {name!r}")
         if kind == KIND_TTMAP:
             copies += _tt_copies(dst, ckpt, name)
             continue
         src = ckpt.array(name)
         if src.shape != dst.shape:
-            raise ShapeError(f"checkpoint incompatible: {name} has shape "
-                             f"{src.shape}, model expects {dst.shape}")
+            raise ShapeError(f"{incompatible} {name} has shape {src.shape}, "
+                             f"model expects {dst.shape}")
         copies.append((dst, src))
     expected = {name for name, _, _ in slots}
     for name in ckpt.records:
         if name.startswith(("map:", "arr:")) and name not in expected:
-            raise ShapeError(f"checkpoint incompatible: spare record {name!r}")
+            raise ShapeError(f"{incompatible} spare record {name!r}")
     for dst, src in copies:
         dst[...] = src
 
 
 def load_optimizer(ckpt: Checkpoint, optimizer):
     """Restore optimizer state saved alongside the model."""
-    state = {}
-    for name, (kind, _) in ckpt.records.items():
-        if name.startswith("opt:") and kind == KIND_ARRAY:
-            state[name[4:]] = ckpt.array(name)
+    state = {name[4:]: value for name, (kind, value) in ckpt.records.items()
+             if name.startswith("opt:") and kind == KIND_ARRAY}
     if not state:
-        raise ShapeError("checkpoint incompatible: no optimizer state stored")
+        raise ShapeError(f"{ckpt.source}: checkpoint incompatible: no "
+                         f"optimizer state stored")
     optimizer.load_state(state)
 
 

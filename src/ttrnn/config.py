@@ -42,58 +42,61 @@ def parse_kv(text: str, source: str = "<config>") -> dict:
     return out
 
 
-def _parse_modes(value: str, field: str):
-    if value.lower() in ("", "none"):
+def _parse_modes(value):
+    """``10x10`` or ``10,10`` as a tuple, ``none`` or nothing as None."""
+    text = str(value)
+    if text.lower() in ("", "none"):
         return None
-    try:
-        return tuple(int(tok) for tok in value.replace(",", "x").split("x"))
-    except ValueError:
-        raise ConfigError(f"field {field}: must look like 10x10 or 10,10, "
-                          f"got {value!r}") from None
+    return tuple(int(tok) for tok in text.replace(",", "x").split("x"))
 
 
 def _fmt_modes(modes) -> str:
     return "none" if modes is None else "x".join(str(m) for m in modes)
 
 
+def _parse_bool(value) -> bool:
+    low = str(value).lower()
+    if low not in ("true", "false"):
+        raise ValueError(value)
+    return low == "true"
+
+
+# A field's kind is its annotation. Parsers raise ValueError on bad text;
+# kinds missing from _DUMP are written as str() writes them.
+_PARSE = {"int": int, "float": float, "bool": _parse_bool,
+          "tuple | None": _parse_modes, "str": str}
+_DUMP = {"float": lambda v: repr(float(v)),
+         "bool": lambda v: "true" if v else "false", "tuple | None": _fmt_modes}
+
+
 class KVConfig:
     """Typed ``key = value`` parsing shared by every config dataclass.
 
-    A subclass is a dataclass whose defaults are the resolved values. It
-    names its typed fields in ``_INT``, ``_FLOAT``, ``_BOOL`` and
-    ``_MODES`` (everything else is a string) and extends ``validate``.
+    A subclass is a dataclass whose defaults are the resolved values. Each
+    field is parsed, dumped and range-checked by the kind its annotation
+    names: ``int`` (and ``>= 0``), ``float``, ``bool``, ``str``, or
+    ``tuple | None`` for a mode list. A subclass extends ``validate``.
     """
 
-    _INT = ()
-    _FLOAT = ()
-    _BOOL = ()
-    _MODES = ()
+    @classmethod
+    def kinds(cls) -> dict:
+        """Field name -> annotation text (this module postpones annotations),
+        in declaration order."""
+        return {f.name: f.type for f in fields(cls)}
 
     @classmethod
     def field_names(cls):
-        return [f.name for f in fields(cls)]
+        return list(cls.kinds())
 
     @classmethod
     def from_dict(cls, raw: dict):
-        known = cls.field_names()
+        kinds = cls.kinds()
         kwargs = {}
         for key, value in raw.items():
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"unknown config field {key!r}")
             try:
-                if key in cls._INT:
-                    kwargs[key] = int(value)
-                elif key in cls._FLOAT:
-                    kwargs[key] = float(value)
-                elif key in cls._BOOL:
-                    low = str(value).lower()
-                    if low not in ("true", "false"):
-                        raise ValueError
-                    kwargs[key] = low == "true"
-                elif key in cls._MODES:
-                    kwargs[key] = _parse_modes(str(value), key)
-                else:
-                    kwargs[key] = str(value)
+                kwargs[key] = _PARSE[kinds[key]](value)
             except ValueError:
                 raise ConfigError(f"field {key}: cannot parse {value!r}") from None
         cfg = cls(**kwargs)
@@ -107,23 +110,14 @@ class KVConfig:
         return cls.from_dict(parse_kv(text, source=str(path)))
 
     def validate(self):
-        for name in self._INT:
-            if getattr(self, name) < 0:
+        for name, kind in self.kinds().items():
+            if kind == "int" and getattr(self, name) < 0:
                 raise ConfigError(f"field {name}: must be >= 0")
 
     def to_text(self) -> str:
         """Canonical resolved dump: every field, sorted, one per line."""
-        lines = []
-        for name in sorted(self.field_names()):
-            value = getattr(self, name)
-            if name in self._MODES:
-                value = _fmt_modes(value)
-            elif name in self._BOOL:
-                value = "true" if value else "false"
-            elif name in self._FLOAT:
-                value = repr(float(value))
-            lines.append(f"{name} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name} = {_DUMP.get(kind, str)(getattr(self, name))}\n"
+                       for name, kind in sorted(self.kinds().items()))
 
     def digest(self) -> str:
         """Hash of the resolved config; stamped on every run artifact."""
@@ -170,13 +164,6 @@ class TrainConfig(KVConfig):
     out_dir: str = "runs"
     early_stop: bool = False
     patience: int = 10
-
-    _INT = ("hidden", "rank", "proj", "baseline_hidden", "batch_size",
-            "epochs", "seed_init", "seed_data", "seed_permutation",
-            "train_count", "val_count", "patience")
-    _FLOAT = ("lr", "beta1", "beta2", "eps", "clip_norm")
-    _BOOL = ("early_stop",)
-    _MODES = ("hidden_modes", "input_modes")
 
     def validate(self):
         if self.task not in TASKS:
@@ -245,9 +232,6 @@ class BenchConfig(KVConfig):
     seed: int = 0
     reps: int = MIN_REPS
     warmups: int = MIN_WARMUPS
-
-    _INT = ("rank", "max_mode", "batch", "seed", "reps", "warmups")
-    _MODES = ("sizes",)
 
     def validate(self):
         if self.family not in BENCH_FAMILIES:

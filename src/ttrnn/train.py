@@ -52,53 +52,57 @@ def restore_model(ckpt, config_path=None):
     return cfg, model
 
 
-def _read_images(cfg: TrainConfig, images, labels, fields: str):
-    """One IDX pair of an mnist task and the task's shared pixel
-    permutation: ``(dataset, permutation)``, the permutation None unless the
-    task is mnist-permuted."""
-    if not images or not labels:
-        raise ConfigError(f"field {fields}: mnist tasks need IDX paths")
-    perm = None
+def _permutation(cfg: TrainConfig):
+    """The shared pixel order of an mnist-permuted task, else None."""
     if cfg.task == "mnist-permuted":
-        perm = D.make_permutation(seed=cfg.seed_permutation)
-    return D.read_idx(images, labels), perm
+        return D.make_permutation(seed=cfg.seed_permutation)
+    return None
 
 
-def _serialize_images(dataset: D.ImageDataset, task: str, permutation):
-    mode = {"mnist-row": "row", "mnist-pixel": "pixel",
-            "mnist-permuted": "permuted"}[task]
-    return [D.serialize_image(img, mode, permutation) for img in dataset.images]
+def _load_splits(cfg: TrainConfig, splits) -> dict:
+    """``{split: (sequences, labels)}`` for ``splits`` (one split, or train
+    and val), reading only the files they need, each once. An mnist task
+    cuts train and val off one IDX pair; labels are None for pianoroll."""
+    stop = {"train": cfg.train_count or None}  # where each split is cut
+    if not cfg.is_classification():
+        paths = {"train": cfg.train_path, "val": cfg.val_path,
+                 "test": cfg.test_path}
+        if not all(paths[split] for split in splits):
+            raise ConfigError("field test_path: needed for the test split"
+                              if "test" in splits else
+                              "field train_path/val_path: pianoroll needs both")
+        return {split: (D.read_pianoroll(paths[split]).sequences[: stop.get(split)],
+                        None) for split in splits}
+    fields = ("test_images", "test_labels") if "test" in splits else \
+        ("images", "labels")
+    images, labels = (getattr(cfg, name) for name in fields)
+    if not images or not labels:
+        raise ConfigError(f"field {'/'.join(fields)}: mnist tasks need IDX paths")
+    ds = D.read_idx(images, labels)
+    parts = {"test": ds} if "test" in splits else \
+        dict(zip(("train", "val"), D.split_train_val(ds, cfg.val_count)))
+    mode, perm = cfg.task.removeprefix("mnist-"), _permutation(cfg)
+    return {split: ([D.serialize_image(img, mode, perm)
+                     for img in parts[split].images[: stop.get(split)]],
+                    parts[split].labels[: stop.get(split)]) for split in splits}
+
+
+def load_split(cfg: TrainConfig, split: str):
+    """``(sequences, labels)`` of split ``train``, ``val`` or ``test``, read
+    from that split's files alone (labels None for prediction tasks)."""
+    if split not in ("train", "val", "test"):
+        raise ConfigError(f"split must be train, val or test, got {split!r}")
+    return _load_splits(cfg, (split,))[split]
 
 
 def load_task_data(cfg: TrainConfig) -> dict:
-    """Load and split data per config.
-
-    Returns ``{"train": sequences, "train_labels": ..., "val": ...,
-    "val_labels": ..., "permutation": ...}`` (labels None for prediction
-    tasks; the pixel permutation None unless the task is mnist-permuted,
-    whose digest ``train_run`` logs).
-    """
-    if cfg.is_classification():
-        ds, perm = _read_images(cfg, cfg.images, cfg.labels, "images/labels")
-        train_ds, val_ds = D.split_train_val(ds, cfg.val_count)
-        if cfg.train_count:
-            train_ds = D.ImageDataset(train_ds.images[: cfg.train_count],
-                                      train_ds.labels[: cfg.train_count])
-        return {
-            "train": _serialize_images(train_ds, cfg.task, perm),
-            "train_labels": train_ds.labels,
-            "val": _serialize_images(val_ds, cfg.task, perm),
-            "val_labels": val_ds.labels,
-            "permutation": perm,
-        }
-    if not cfg.train_path or not cfg.val_path:
-        raise ConfigError("field train_path/val_path: pianoroll needs both")
-    train = D.read_pianoroll(cfg.train_path).sequences
-    val = D.read_pianoroll(cfg.val_path).sequences
-    if cfg.train_count:
-        train = train[: cfg.train_count]
-    return {"train": train, "train_labels": None,
-            "val": val, "val_labels": None, "permutation": None}
+    """The train and val splits, each input file read once:
+    ``{"train": sequences, "train_labels": ..., "val": ..., "val_labels":
+    ...}``, labels None for prediction tasks."""
+    (train, train_labels), (val, val_labels) = \
+        _load_splits(cfg, ("train", "val")).values()
+    return {"train": train, "train_labels": train_labels,
+            "val": val, "val_labels": val_labels}
 
 
 def _batch_task(cfg: TrainConfig) -> str:
@@ -118,6 +122,30 @@ def batch_loss_and_grads(model, batch: D.SequenceBatch, classify: bool):
     targets_tm = batch.targets.transpose(1, 0, 2)
     loss, _ = model.loss_and_grads(x_tm, mask_tm, targets_tm)
     return loss, float(mask_tm.sum())
+
+
+def train_step(model, optimizer, batch: D.SequenceBatch, classify: bool,
+               clip_norm: float):
+    """One optimizer step on ``batch``; returns ``(loss, weight, grad_norm)``.
+
+    ``grad_norm`` is the global norm of the gradients before clipping them
+    to ``clip_norm`` (no clipping at 0). A non-finite loss or norm raises
+    NumericError, worded ``<what>; <hint>``, before the weights move.
+    """
+    model.zero_grads()
+    loss, weight = batch_loss_and_grads(model, batch, classify)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss}; try a lower lr or "
+                           f"enable clip_norm")
+    grads = model.grads()
+    if clip_norm > 0.0:
+        norm = clip_global_norm(grads, clip_norm)
+    else:
+        norm = global_norm(grads)
+    if not np.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm {norm}; try a lower lr")
+    optimizer.step(grads)
+    return loss, weight, norm
 
 
 def evaluate(model, batches, classify: bool):
@@ -154,7 +182,7 @@ def evaluate(model, batches, classify: bool):
 
 
 class RunLog:
-    """Append-only key-value text log.
+    """Append-only key-value text log, open for one ``with`` block.
 
     Epoch records are bare ``key=value`` lines; anything contextual goes in
     ``#`` comment lines. Every record carries the config hash so logs,
@@ -164,6 +192,12 @@ class RunLog:
     def __init__(self, path):
         self.path = path
         self._fh = open(path, "a", encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
 
     def comment(self, text: str):
         for line in str(text).splitlines() or [""]:
@@ -180,9 +214,6 @@ class RunLog:
         self._fh.write(line + "\n")
         self._fh.flush()
         return line
-
-    def close(self):
-        self._fh.close()
 
 
 def parse_runlog(path) -> list:
@@ -215,119 +246,73 @@ def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
     digest = cfg.digest()
     with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg_text)
-
-    def say(text):
-        if echo is not None:
-            echo(text)
-
-    rng = np.random.default_rng(cfg.seed_init)
-    model = build_model(cfg, rng)
+    say = echo if echo is not None else (lambda text: None)
+    model = build_model(cfg, np.random.default_rng(cfg.seed_init))
     report = model_report(model, cfg.baseline_hidden or None)
-
-    log = RunLog(os.path.join(out_dir, "run.log"))
-    log.comment(f"config hash {digest}")
-    for line in report.lines():
-        log.comment(line)
-        say(line)
-
     classify = cfg.is_classification()
     best_path = os.path.join(out_dir, "best.ttcp")
     last_path = os.path.join(out_dir, "last.ttcp")
+    summary = {"report": report, "records": [], "best_path": best_path,
+               "hash": digest, "model": model}
 
-    if cfg.epochs == 0:
-        save_checkpoint(best_path, model, cfg_text, meta={"epoch": 0})
-        log.close()
-        return {"report": report, "records": [], "best_path": best_path,
-                "hash": digest, "model": model}
+    with RunLog(os.path.join(out_dir, "run.log")) as log:
+        log.comment(f"config hash {digest}")
+        for line in report.lines():
+            log.comment(line)
+            say(line)
+        if cfg.epochs == 0:
+            save_checkpoint(best_path, model, cfg_text, meta={"epoch": 0})
+            return summary
 
-    dataset = load_task_data(cfg)
-    if dataset["permutation"] is not None:
-        log.comment(f"permutation {D.permutation_digest(dataset['permutation'])}")
-    task = _batch_task(cfg)
-    val_batches = make_eval_batches(cfg, dataset["val"], dataset["val_labels"])
-
-    optimizer = Adam(model.params(), lr=cfg.lr, beta1=cfg.beta1,
-                     beta2=cfg.beta2, eps=cfg.eps)
-    best_val = np.inf
-    best_epoch = 0
-    records = []
-    for epoch in range(1, cfg.epochs + 1):
-        start = time.monotonic()
-        batches = D.make_batches(dataset["train"], task, cfg.batch_size,
-                                 shuffle_seed=cfg.seed_data + epoch,
-                                 labels=dataset["train_labels"])
-        loss_sum = 0.0
-        weight_sum = 0.0
-        for i, batch in enumerate(batches):
-            model.zero_grads()
-            loss, weight = batch_loss_and_grads(model, batch, classify)
-            if not np.isfinite(loss):
-                log.comment(f"abort: non-finite loss {loss} at epoch {epoch} "
-                            f"batch {i}")
-                log.close()
-                raise NumericError(
-                    f"non-finite loss {loss} at epoch {epoch} batch {i}; "
-                    f"try a lower lr or enable clip_norm")
-            grads = model.grads()
-            if cfg.clip_norm > 0.0:
-                norm = clip_global_norm(grads, cfg.clip_norm)
-            else:
-                norm = global_norm(grads)
-            if not np.isfinite(norm):
-                log.comment(f"abort: non-finite gradient norm {norm} at epoch "
-                            f"{epoch} batch {i}")
-                log.close()
-                raise NumericError(
-                    f"non-finite gradient norm {norm} at epoch {epoch} "
-                    f"batch {i}; try a lower lr")
-            optimizer.step(grads)
-            loss_sum += loss * weight
-            weight_sum += weight
-        train_loss = loss_sum / weight_sum
-        val_loss, val_metric = evaluate(model, val_batches, classify)
-        wall = time.monotonic() - start
-        line = log.record(epoch=epoch, hash=digest, train_loss=train_loss,
-                          val_loss=val_loss, val_metric=val_metric,
-                          wall_s=round(wall, 3))
-        say(line)
-        records.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_loss": val_loss, "val_metric": val_metric})
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            save_checkpoint(best_path, model, cfg_text, optimizer=optimizer,
-                            meta={"epoch": epoch, "val_loss": val_loss,
-                                  "val_metric": val_metric})
-        if cfg.early_stop and epoch - best_epoch >= cfg.patience:
-            log.comment(f"early stop at epoch {epoch}; best epoch {best_epoch}")
-            break
-    save_checkpoint(last_path, model, cfg_text, optimizer=optimizer,
-                    meta={"epoch": records[-1]["epoch"],
-                          "val_loss": records[-1]["val_loss"],
-                          "val_metric": records[-1]["val_metric"]})
-    log.comment(f"best epoch {best_epoch} val_loss {best_val!r}")
-    log.close()
-    return {"report": report, "records": records, "best_path": best_path,
-            "last_path": last_path, "hash": digest, "model": model}
+        dataset = load_task_data(cfg)
+        perm = _permutation(cfg)
+        if perm is not None:
+            log.comment(f"permutation {D.permutation_digest(perm)}")
+        val_batches = make_eval_batches(cfg, dataset["val"],
+                                        dataset["val_labels"])
+        optimizer = Adam(model.params(), lr=cfg.lr, beta1=cfg.beta1,
+                         beta2=cfg.beta2, eps=cfg.eps)
+        best_val, best_epoch = np.inf, 0
+        for epoch in range(1, cfg.epochs + 1):
+            start = time.monotonic()
+            batches = D.make_batches(dataset["train"], _batch_task(cfg),
+                                     cfg.batch_size,
+                                     shuffle_seed=cfg.seed_data + epoch,
+                                     labels=dataset["train_labels"])
+            loss_sum = weight_sum = 0.0
+            for i, batch in enumerate(batches):
+                try:
+                    loss, weight, _ = train_step(model, optimizer, batch,
+                                                 classify, cfg.clip_norm)
+                except NumericError as e:
+                    what, _, hint = str(e).partition("; ")
+                    where = f"{what} at epoch {epoch} batch {i}"
+                    log.comment(f"abort: {where}")
+                    raise NumericError(f"{where}; {hint}") from None
+                loss_sum += loss * weight
+                weight_sum += weight
+            rec = {"epoch": epoch, "train_loss": loss_sum / weight_sum}
+            rec["val_loss"], rec["val_metric"] = evaluate(model, val_batches,
+                                                          classify)
+            wall = time.monotonic() - start
+            say(log.record(**{"epoch": epoch, "hash": digest, **rec},
+                           wall_s=round(wall, 3)))
+            summary["records"].append(rec)
+            meta = {key: rec[key] for key in ("epoch", "val_loss", "val_metric")}
+            if rec["val_loss"] < best_val:
+                best_val, best_epoch = rec["val_loss"], epoch
+                save_checkpoint(best_path, model, cfg_text,
+                                optimizer=optimizer, meta=meta)
+            if cfg.early_stop and epoch - best_epoch >= cfg.patience:
+                log.comment(f"early stop at epoch {epoch}; best epoch {best_epoch}")
+                break
+        save_checkpoint(last_path, model, cfg_text, optimizer=optimizer,
+                        meta=meta)
+        log.comment(f"best epoch {best_epoch} val_loss {best_val!r}")
+    return {**summary, "last_path": last_path}
 
 
 def make_eval_batches(cfg: TrainConfig, sequences, labels):
     """Fixed-order batches for evaluation (no shuffling)."""
     return D.make_batches(sequences, _batch_task(cfg), cfg.batch_size,
                           shuffle_seed=None, labels=labels)
-
-
-def load_split(cfg: TrainConfig, split: str):
-    """Sequences and labels for one evaluation split (``val`` or ``test``)."""
-    if split == "val":
-        loaded = load_task_data(cfg)
-        return loaded["val"], loaded["val_labels"]
-    if split != "test":
-        raise ConfigError(f"split must be val or test, got {split!r}")
-    if cfg.is_classification():
-        ds, perm = _read_images(cfg, cfg.test_images, cfg.test_labels,
-                                "test_images/test_labels")
-        return _serialize_images(ds, cfg.task, perm), ds.labels
-    if not cfg.test_path:
-        raise ConfigError("field test_path: needed for the test split")
-    return D.read_pianoroll(cfg.test_path).sequences, None

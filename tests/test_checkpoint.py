@@ -20,9 +20,9 @@ from ttrnn.optim import Adam
 from synthdata import write_array_record_checkpoint, write_one_record_checkpoint
 
 
-def tt_classifier(seed=0, rank=2):
+def tt_classifier(seed=0, rank=2, classes=3):
     rng = np.random.default_rng(seed)
-    return build_classifier(5, 3, "gru", 6, rng, proj_dim=4,
+    return build_classifier(5, classes, "gru", 6, rng, proj_dim=4,
                             in_modes=(2, 2), hidden_modes=(2, 3), rank=rank)
 
 
@@ -171,6 +171,34 @@ class TestCompatibility:
         assert params_equal(model, tt_classifier())
 
 
+def _flip_bias(ckpt):
+    kind, (tt, bias) = ckpt.records["map:cell.wxr"]
+    ckpt.records["map:cell.wxr"] = (kind, (tt, np.zeros(tt.spec.out_dim)
+                                           if bias is None else None))
+
+
+@pytest.mark.parametrize("edit,model,message", [
+    (None, lambda: tt_classifier(rank=3), r"map:cell\.wxr has spec "),
+    (lambda c: c.records.pop("arr:cell.bias_h"), tt_classifier,
+     "missing record 'arr:cell.bias_h'"),
+    (lambda c: c.records.update({"arr:x": c.records["arr:cell.bias_h"]}),
+     tt_classifier, "spare record 'arr:x'"),
+    (None, lambda: tt_classifier(classes=4), r"map:head\.weight has shape "),
+    (_flip_bias, tt_classifier, r"map:cell\.wxr bias mismatch"),
+], ids=["spec", "missing", "spare", "shape", "bias"])
+def test_load_errors_name_the_file(tmp_path, edit, model, message):
+    path = tmp_path / "m.ttcp"
+    save_checkpoint(path, tt_classifier())
+    ckpt = read_checkpoint(path)
+    if edit is not None:
+        edit(ckpt)
+    prefix = f"^{re.escape(str(path))}: checkpoint incompatible: "
+    with pytest.raises(ShapeError, match=prefix + message):
+        load_into_model(ckpt, model())
+    with pytest.raises(ShapeError, match=prefix + "no optimizer state"):
+        load_optimizer(ckpt, Adam(tt_classifier().params()))
+
+
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttcp"
@@ -218,10 +246,11 @@ class TestCorruption:
     def test_malformed_array_shape(self, tmp_path, shape, data):
         # (-1, -1) made an element count of 1 and reached reshape;
         # (2^32, 2^32) wrapped an int64 element count to 0 and did too.
+        # Every record is parsed as the file is read.
         path = write_array_record_checkpoint(tmp_path / "bad.ttcp", shape, data)
-        ckpt = read_checkpoint(path)
-        with pytest.raises(FormatError, match="arr:cell.bias"):
-            ckpt.array("arr:cell.bias")
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: record "
+                                              f"'arr:cell.bias'"):
+            read_checkpoint(path)
 
     def test_repeated_record_name(self, tmp_path):
         payload = struct.pack("<qqd", 1, 1, 1.0)

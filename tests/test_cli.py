@@ -14,12 +14,24 @@ from ttrnn import bench
 from ttrnn.checkpoint import KIND_ARRAY, save_checkpoint
 from ttrnn.cli import main
 from ttrnn.config import TrainConfig, parse_kv
+from ttrnn.optim import Adam
 from ttrnn.train import build_model, parse_runlog
 
 
 def write_config(path, **fields):
     lines = [f"{k} = {v}" for k, v in fields.items()]
     path.write_text("# test config\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+def corrupt_optimizer_record(path):
+    """Rewrite the checkpoint at ``path`` so that its ``opt:m.proj.weight``
+    record claims 99 dimensions; returns the path as a string."""
+    raw = bytearray(path.read_bytes())
+    name = b"opt:m.proj.weight"
+    at = raw.index(struct.pack("<q", len(name)) + name) + 8 + len(name) + 16
+    raw[at : at + 8] = struct.pack("<q", 99)
+    path.write_bytes(bytes(raw))
     return str(path)
 
 
@@ -204,6 +216,42 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "nll=" in out and "acc=" in out and "frames=" in out
 
+    def test_val_split_needs_no_train_file(self, tmp_path, capsys):
+        train = write_pianoroll_fixture(tmp_path, 6, 24, name="tr.txt")
+        val = write_pianoroll_fixture(tmp_path, 2, 24, name="va.txt")
+        cfg = write_config(tmp_path / "p.cfg", task="pianoroll", model="srnn",
+                           parameterization="tt", hidden=0, hidden_modes="4x4",
+                           input_modes="4x4", proj=16, rank=2, batch_size=3,
+                           epochs=1, lr="0.01", train_path=train, val_path=val,
+                           out_dir=str(tmp_path / "run"))
+        assert main(["train", cfg]) == 0
+        capsys.readouterr()
+        last = str(tmp_path / "run" / "last.ttcp")
+        assert main(["eval", last]) == 0
+        want = capsys.readouterr().out
+        (tmp_path / "tr.txt").unlink()
+        assert main(["eval", last]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_incompatible_error_names_the_file(self, tmp_path, capsys):
+        self._train(tmp_path, capsys)
+        other = write_config(tmp_path / "big.cfg",
+                             **mnist_fields(tmp_path, hidden=16))
+        best = str(tmp_path / "run" / "best.ttcp")
+        assert main(["eval", best, "--config", other]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: {best}: checkpoint incompatible: ")
+
+    def test_corrupt_optimizer_record_is_exit_2(self, tmp_path, capsys):
+        self._train(tmp_path, capsys)
+        bad = corrupt_optimizer_record(tmp_path / "run" / "best.ttcp")
+        assert main(["eval", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"data error: {bad}: record 'opt:m.proj.weight': "
+                       f"implausible ndim 99\n")
+
     def test_untrained_model_scores_chance(self, tmp_path, capsys):
         # Labels are independent of the pixels, so any fixed predictor is a
         # binomial draw around 1/10; 0.03 is 4.5 standard errors at n=2000.
@@ -325,6 +373,23 @@ class TestInspectCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("data error:") and "map:cell.wx" in err
+        assert err.startswith(f"data error: {path}: checkpoint incompatible: "
+                              f"map:cell.wx has spec ")
+
+    def test_corrupt_optimizer_record_is_exit_2(self, tmp_path, capsys):
+        cfg = TrainConfig.from_file(self.demo_config(tmp_path))
+        model = build_model(cfg, np.random.default_rng(0))
+        path = tmp_path / "opt.ttcp"
+        save_checkpoint(path, model, cfg.to_text(),
+                        optimizer=Adam(model.params()), meta={"epoch": 1})
+        assert main(["inspect", str(path)]) == 0
+        assert "optimizer state: " in capsys.readouterr().out
+        corrupt_optimizer_record(path)
+        assert main(["inspect", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"data error: {path}: record 'opt:m.proj.weight': "
+                       f"implausible ndim 99\n")
 
     def test_without_config_lists_records_only(self, tmp_path, capsys):
         cfg = TrainConfig.from_file(self.demo_config(tmp_path))

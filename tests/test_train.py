@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ttrnn
+import ttrnn.data as D
 from synthdata import write_idx_fixture, write_pianoroll_fixture
 from ttrnn.checkpoint import load_checkpoint, read_checkpoint
 from ttrnn.config import TrainConfig
 from ttrnn.errors import ConfigError, FormatError, NumericError
 from ttrnn.models import SequenceClassifier, SequencePredictor
-from ttrnn.optim import Adam
+from ttrnn.optim import Adam, global_norm
 from ttrnn.train import (
+    batch_loss_and_grads,
     build_model,
     evaluate,
     load_split,
@@ -15,6 +23,7 @@ from ttrnn.train import (
     make_eval_batches,
     parse_runlog,
     train_run,
+    train_step,
 )
 
 
@@ -109,6 +118,98 @@ class TestLoadTaskData:
         assert len(seqs) == 12 and len(labels) == 12
         with pytest.raises(ConfigError, match="test_path"):
             load_split(roll_cfg(tmp_path), "test")
+
+    @pytest.mark.parametrize("make_cfg", [mnist_cfg, roll_cfg],
+                             ids=["mnist", "pianoroll"])
+    def test_each_split_matches_load_task_data(self, tmp_path, make_cfg):
+        cfg = make_cfg(tmp_path, train_count=5)
+        data = load_task_data(cfg)
+        for split in ("train", "val"):
+            seqs, labels = load_split(cfg, split)
+            assert len(seqs) == len(data[split])
+            assert all(np.array_equal(a, b) for a, b in zip(seqs, data[split]))
+            if labels is None:
+                assert data[f"{split}_labels"] is None
+            else:
+                assert np.array_equal(labels, data[f"{split}_labels"])
+        with pytest.raises(ConfigError, match="split"):
+            load_split(cfg, "holdout")
+
+    def test_val_split_reads_no_train_file(self, tmp_path):
+        cfg = roll_cfg(tmp_path)
+        want = load_task_data(cfg)["val"]
+        os.unlink(cfg.train_path)
+        seqs, labels = load_split(cfg, "val")
+        assert labels is None
+        assert all(np.array_equal(a, b) for a, b in zip(seqs, want))
+
+    @pytest.mark.parametrize("make_cfg,reader", [(mnist_cfg, "read_idx"),
+                                                 (roll_cfg, "read_pianoroll")],
+                             ids=["mnist", "pianoroll"])
+    def test_task_data_reads_each_file_once(self, tmp_path, monkeypatch,
+                                            make_cfg, reader):
+        real = getattr(D, reader)
+        calls = []
+
+        def counting(*paths):
+            calls.append(paths)
+            return real(*paths)
+
+        monkeypatch.setattr(D, reader, counting)
+        load_task_data(make_cfg(tmp_path))
+        assert len(calls) == len(set(calls)) == (1 if reader == "read_idx" else 2)
+
+
+class TestTrainStep:
+    def build(self, tmp_path):
+        cfg = mnist_cfg(tmp_path)
+        model = build_model(cfg, np.random.default_rng(cfg.seed_init))
+        data = load_task_data(cfg)
+        batch = make_eval_batches(cfg, data["train"], data["train_labels"])[0]
+        return model, Adam(model.params(), lr=cfg.lr), batch
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0, 1e-3])
+    def test_returns_unclipped_norm(self, tmp_path, clip_norm):
+        model, opt, batch = self.build(tmp_path)
+        twin, _, _ = self.build(tmp_path)
+        twin.zero_grads()
+        want_loss, want_weight = batch_loss_and_grads(twin, batch, True)
+        want = global_norm(twin.grads())
+        loss, weight, norm = train_step(model, opt, batch, True, clip_norm)
+        assert (loss, weight, norm) == (want_loss, want_weight, want)
+        assert opt.t == 1
+        if clip_norm > 0.0:
+            assert global_norm(model.grads()) == pytest.approx(
+                min(want, clip_norm), rel=1e-12)
+        assert any(not np.array_equal(p, twin.params()[k])
+                   for k, p in model.params().items())
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+    @pytest.mark.parametrize("poison", ["loss", "grads"])
+    def test_nonfinite_step_leaves_state_unchanged(self, tmp_path, monkeypatch,
+                                                   clip_norm, poison):
+        import ttrnn.train as T
+
+        model, opt, batch = self.build(tmp_path)
+        train_step(model, opt, batch, True, clip_norm)
+        before = {k: p.copy() for k, p in model.params().items()}
+        moments = {k: v.copy() for k, v in opt.state().items()}
+        real = T.batch_loss_and_grads
+
+        def poisoned(model, batch, classify):
+            loss, weight = real(model, batch, classify)
+            if poison == "loss":
+                return np.inf, weight
+            next(iter(model.grads().values()))[...] = np.nan
+            return loss, weight
+
+        monkeypatch.setattr(T, "batch_loss_and_grads", poisoned)
+        what = "loss inf; try" if poison == "loss" else "gradient norm nan; try"
+        with pytest.raises(NumericError, match=f"^non-finite {what} a lower lr"):
+            train_step(model, opt, batch, True, clip_norm)
+        assert opt.t == 1
+        assert all(np.array_equal(model.params()[k], v) for k, v in before.items())
+        assert all(np.array_equal(opt.state()[k], v) for k, v in moments.items())
 
 
 class TestEvaluate:
@@ -236,6 +337,31 @@ class TestTrainRun:
         assert all(np.array_equal(after[k], v) for k, v in seen["before"].items())
         log_text = (tmp_path / "run" / "run.log").read_text()
         assert "# abort: non-finite gradient norm nan" in log_text
+
+    def test_failed_run_closes_its_log(self, tmp_path):
+        # A file left open warns when it is collected; -X dev shows it.
+        cfg = mnist_cfg(tmp_path, images="", labels="")
+        path = tmp_path / "c.cfg"
+        path.write_text(cfg.to_text())
+        code = ("import gc, sys\n"
+                "from ttrnn.config import TrainConfig\n"
+                "from ttrnn.errors import ConfigError\n"
+                "from ttrnn.train import train_run\n"
+                "try:\n"
+                "    train_run(TrainConfig.from_file(sys.argv[1]))\n"
+                "except ConfigError as e:\n"
+                "    print(e)\n"
+                "gc.collect()\n")
+        src = str(Path(ttrnn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", code, str(path)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "field images/labels: mnist tasks need IDX paths\n"
+        assert "ResourceWarning" not in result.stderr
+        assert (tmp_path / "run" / "run.log").read_text().startswith("# config hash")
 
     def test_early_stop_with_flat_validation(self, tmp_path):
         # lr 0 freezes the model, so validation never improves after
