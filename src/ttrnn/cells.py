@@ -22,9 +22,13 @@ passes the cell's own maps; :func:`unroll` passes the execution plan of
 :func:`ttrnn.linear.execution_plan`, in which small TT maps are dense views
 built once for the whole sequence, and :func:`bptt` flushes those views'
 accumulated gradients into the cores when it is done. :func:`unroll` keeps
-every step's cache for :func:`bptt`; inference (the models' ``forward``)
-runs the same step loop but keeps no step caches, dropping each one
-when the next step's arrives.
+every step's cache for :func:`bptt`. A sweep-plan TT map's step caches are
+views into the map's workspace, which the next unroll of the cell (or a
+``forward`` of the map) overwrites: :func:`bptt` on the caches of an
+older unroll raises :class:`ShapeError` before it touches any gradient,
+while running it twice on the current caches is fine. Inference (the
+models' ``forward``) runs the same step loop but asks for no caches: its
+sweep-plan TT maps run ``forward``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .linear import (Composite, DenseView, LinearMap, _check_batch, _check_bias,
-                     execution_plan)
+from .linear import (Composite, DenseView, LinearMap, SweepView, _check_batch,
+                     _check_bias, execution_plan)
 
 
 def sigmoid(x):
@@ -182,13 +186,14 @@ class GRUCell(Cell):
         return out
 
 
-def _unrolled(cell: Cell, x_seq, mask):
+def _unrolled(cell: Cell, x_seq, mask, cached: bool):
     """The checks, execution plan and step loop that every unroll shares.
 
     Returns ``(h_seq, maps, mask, steps)``: ``steps`` is a generator that
     runs one timestep per item, writes its state into ``h_seq`` and yields
     the step's cache. ``mask`` comes back reshaped to (T, B, 1), or None
-    when it blends nothing away.
+    when it blends nothing away. With ``cached=False`` (inference) the
+    sweep-plan TT maps run ``forward`` and yield no cache.
     """
     x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
@@ -204,7 +209,7 @@ def _unrolled(cell: Cell, x_seq, mask):
             raise ShapeError(f"mask must have shape ({n_steps}, {batch})")
         # Only an all-exactly-1.0 mask blends nothing away: skip its blends.
         mask = None if np.all(mask == 1.0) else mask.reshape(n_steps, batch, 1)
-    maps = execution_plan(cell.named_maps())
+    maps = execution_plan(cell.named_maps(), n_steps, batch, cached)
     h_seq = np.empty((n_steps, batch, cell.hidden_dim))
 
     def steps():
@@ -228,15 +233,16 @@ def unroll(cell: Cell, x_seq, mask=None):
     whole sequence (see :func:`ttrnn.linear.execution_plan`); ``caches``
     holds it.
     """
-    h_seq, maps, mask, steps = _unrolled(cell, x_seq, mask)
+    h_seq, maps, mask, steps = _unrolled(cell, x_seq, mask, cached=True)
     caches = list(steps)
     return h_seq, (maps, caches, mask, h_seq.shape)
 
 
 def _hidden_states(cell: Cell, x_seq, mask):
-    """:func:`unroll` for inference: returns ``h_seq`` alone, holding one
-    step's cache at a time (each is dropped when the next arrives)."""
-    h_seq, _, _, steps = _unrolled(cell, x_seq, mask)
+    """:func:`unroll` for inference: returns ``h_seq`` alone. Sweep-plan TT
+    maps run ``forward`` and keep no cache; any other map's step cache is
+    dropped when the next step's arrives."""
+    h_seq, _, _, steps = _unrolled(cell, x_seq, mask, cached=False)
     for _ in steps:
         pass
     return h_seq
@@ -267,6 +273,9 @@ def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
         if carry.shape != shape[1:]:
             raise ShapeError(f"grad_h_last must have shape {shape[1:]}, "
                              f"got {carry.shape}")
+    for m in maps.values():
+        if isinstance(m, SweepView):
+            m.check_current()
     steps, batch, _ = shape
     grad_x_seq = np.empty((steps, batch, cell.input_dim))
     for t in range(steps - 1, -1, -1):

@@ -24,19 +24,33 @@ regrouping between steps is a plain C-order reshape, which is what makes
 the row-major index convention load bearing. :meth:`TTSpec.sweep_shapes`
 holds this schedule, and the forward and backward passes read their shapes
 from it. Cost is O(d r^2 m max(M, N)) per sample instead of O(M N).
-``forward`` keeps no cache, so it runs the steps before the last through two
-work buffers the layer reuses from call to call; ``forward_cached`` gives
-each step a fresh output, because its cache holds them.
 
 The backward pass replays the same chain in reverse with the cached ``z``
 inputs, so parameter and input gradients are exact (they are the analytic
 derivatives of the contraction, not an approximation).
 
+Each :class:`TTLinear` owns one workspace for the sweep's step outputs: a
+flat array that lives as long as the map, grows and never shrinks. It holds
+slots; slot t has one region per step with ``Q_k > 1``, of that step's
+output size in :meth:`TTSpec.sweep_shapes`. :meth:`TTLinear.lease` sizes the
+workspace for T slots at batch B and starts a new generation.
+``forward(x)`` leases one slot and sweeps into slot 0, so inference
+allocates no step output. ``forward_cached(x, slot)`` sweeps into a slot of
+the current lease, and its cache holds views into the workspace stamped
+with the generation; ``backward`` raises :class:`ShapeError` on a cache from
+an older generation, because a later lease may have overwritten it. A bare
+``forward_cached(x)`` still gives each step a fresh array, so its cache
+stands alone. Nothing a pass returns is a workspace view. Multi-MB fresh
+step outputs would be page faulted in on every call, a cost that grows
+faster than the map.
+
 A recurrent unroll applies each cell map T times to the same weights, so
 for small maps it pays to build the matrix once. :func:`execution_plan`
 picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
 
-* **sweep**: the map itself, one core sweep per step;
+* **sweep**: a :class:`SweepView`, which leases T slots of the map's
+  workspace at the unroll's batch and runs step t's sweep into slot t
+  (for inference, an :class:`Uncached`, which runs ``forward``);
 * **dense**: a :class:`DenseView`, which runs the map's own sweep once on
   the identity to get ``W.T``, then costs one matmul per step, accumulates
   ``dW.T`` over the steps and projects it onto the core gradients with one
@@ -198,6 +212,12 @@ class DenseLinear(LinearMap):
         return [("weight", (self.weight, self.grad_weight)), *self._bias_parts()]
 
 
+def _slot_size(shapes) -> int:
+    """Floats in one workspace slot: the outputs of the sweep steps with
+    ``Q_k > 1`` in the schedule ``shapes``."""
+    return sum(rows * height * cols for rows, height, _, cols in shapes if cols > 1)
+
+
 class TTLinear(LinearMap):
     """y = x @ W.T (+ b) with W held in TT format; its own passes never
     materialize W (a :class:`DenseView` does, through them)."""
@@ -208,7 +228,9 @@ class TTLinear(LinearMap):
         self.bias = None if bias is None else _check_bias(bias, self.out_dim)
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
-        self._work = (np.empty(0), np.empty(0))  # forward's step outputs
+        self.workspace = np.empty(0)  # the step outputs of leased sweeps
+        self._leased = (0, 0)  # (slots, batch) of the current lease
+        self._generation = 0  # bumped by every lease
 
     @classmethod
     def glorot(cls, spec: TTSpec, rng: np.random.Generator,
@@ -227,58 +249,91 @@ class TTLinear(LinearMap):
             for g in self.tt.cores
         ]
 
-    def _sweep(self, x, mats, work=None):
+    def _sweep(self, x, mats, outs=None):
         """The core sweep on checked ``x``: returns ``(y, z_inputs)``, the
-        output and each step's input. With ``work``, two flat buffers, the
-        steps before the last write into them in turn instead of into fresh
-        arrays; the last step (``Q_{d-1} = 1``) always returns a fresh one."""
+        output and each step's input. With ``outs``, one array or None per
+        step, the steps write into those arrays instead of fresh ones; the
+        last step (``Q_{d-1} = 1``) always returns a fresh one."""
         b = x.shape[0]
         z = x
         z_inputs = []
         shapes = self.tt.spec.sweep_shapes(b)
-        for k, (mat, (rows, height, width, cols)) in enumerate(zip(mats, shapes)):
+        for k, (mat, (rows, _, width, cols)) in enumerate(zip(mats, shapes)):
             z = z.reshape(rows, width, cols)
             z_inputs.append(z)
             if cols == 1:
                 # One column per block: the stack of matvecs is one 2-D GEMM.
                 z = z[:, :, 0] @ mat.T
             else:
-                out = None if work is None else (
-                    work[k % 2][: rows * height * cols].reshape(rows, height, cols))
-                z = np.matmul(mat, z, out=out)
+                z = np.matmul(mat, z, out=None if outs is None else outs[k])
         y = z.reshape(b, self.out_dim)
         if self.bias is not None:
             y = y + self.bias
         return y, z_inputs
 
-    def forward(self, x):
-        """Inference: no cache, so the steps' outputs go to two work
-        buffers the layer keeps and reuses across calls, grown to the
-        largest ``rows * height * cols`` of :meth:`TTSpec.sweep_shapes`.
-        Fresh multi-MB step outputs on every call would each be page
-        faulted in, a cost that grows faster than the map. The result is
-        a fresh array; do not call one layer from two threads at once."""
-        x = _check_batch(x, self.in_dim, "input")
-        size = max(rows * height * cols
-                   for rows, height, _, cols in self.tt.spec.sweep_shapes(x.shape[0]))
-        if self._work[0].size < size:
-            self._work = (np.empty(size), np.empty(size))
-        return self._sweep(x, self._core_matrices(), self._work)[0]
+    def lease(self, slots: int, batch: int) -> int:
+        """Make room in the workspace for ``slots`` sweeps of ``batch`` rows
+        and start a new generation, which makes every cache held in the
+        workspace stale. Returns the generation."""
+        need = slots * _slot_size(self.tt.spec.sweep_shapes(batch))
+        if self.workspace.size < need:
+            self.workspace = np.empty(need)
+        self._leased = (slots, batch)
+        self._generation += 1
+        return self._generation
 
-    def forward_cached(self, x):
+    def _slot(self, slot: int, batch: int) -> list:
+        """Slot ``slot``'s step outputs: views into the workspace for the
+        steps with ``Q_k > 1``, None for the rest."""
+        shapes = self.tt.spec.sweep_shapes(batch)
+        start = slot * _slot_size(shapes)
+        outs = []
+        for rows, height, _, cols in shapes:
+            if cols == 1:
+                outs.append(None)
+                continue
+            size = rows * height * cols
+            outs.append(self.workspace[start:start + size].reshape(rows, height, cols))
+            start += size
+        return outs
+
+    def forward(self, x):
+        """Inference: no cache, so the steps' outputs go to workspace slot
+        0, which this call leases (a new generation). The result is a fresh
+        array; do not call one layer from two threads at once."""
+        x = _check_batch(x, self.in_dim, "input")
+        self.lease(1, x.shape[0])
+        return self._sweep(x, self._core_matrices(), self._slot(0, x.shape[0]))[0]
+
+    def forward_cached(self, x, slot=None):
+        """``(y, cache)``. Without ``slot`` every step's output is a fresh
+        array, so the cache stands alone. With ``slot``, one of the current
+        lease's (see :meth:`lease`), the steps write into that workspace
+        slot and the cache holds views of it: it goes stale at the next
+        lease."""
         x = _check_batch(x, self.in_dim, "input")
         mats = self._core_matrices()
-        y, z_inputs = self._sweep(x, mats)
-        return y, (mats, z_inputs, x.shape[0])
+        if slot is None:
+            y, z_inputs = self._sweep(x, mats)
+            return y, (mats, z_inputs, x.shape[0], None)
+        slots, batch = self._leased
+        if not 0 <= slot < slots or x.shape[0] != batch:
+            raise ShapeError(f"slot {slot} at batch {x.shape[0]} is outside the "
+                             f"lease of {slots} slots at batch {batch}")
+        y, z_inputs = self._sweep(x, mats, self._slot(slot, batch))
+        return y, (mats, z_inputs, batch, self._generation)
 
     def backward(self, grad_out, cache):
         grad_out = _check_batch(grad_out, self.out_dim, "grad_out")
         spec = self.tt.spec
-        mats, z_inputs, b = cache
+        mats, z_inputs, b, generation = cache
         if grad_out.shape[0] != b:
             raise ShapeError(
                 f"grad_out batch {grad_out.shape[0]} does not match cached batch {b}"
             )
+        if generation not in (None, self._generation):
+            raise ShapeError("stale cache: the map's workspace was leased again "
+                             "(by a later unroll or forward) since it was made")
         if self.grad_bias is not None:
             self.grad_bias += grad_out.sum(axis=0)
         shapes = spec.sweep_shapes(b)
@@ -350,11 +405,53 @@ class DenseView:
         self.grad_wt[...] = 0.0
 
 
-def execution_plan(maps: dict) -> dict:
-    """``maps`` with each TT map the rule picks replaced by a fresh
-    :class:`DenseView`; every other map stands for itself (the sweep)."""
-    return {
-        name: DenseView(m)
-        if isinstance(m, TTLinear) and takes_dense_plan(m.tt.spec) else m
-        for name, m in maps.items()
-    }
+class SweepView:
+    """A sweep-plan :class:`TTLinear` leased for one unroll of ``steps``
+    steps at ``batch`` rows: the t-th ``forward_cached`` runs the map's own
+    sweep into workspace slot t, and ``backward`` is the map's."""
+
+    def __init__(self, layer: TTLinear, steps: int, batch: int):
+        self.layer = layer
+        self.generation = layer.lease(steps, batch)
+        self._next = 0
+
+    def forward_cached(self, x):
+        slot = self._next
+        self._next += 1
+        return self.layer.forward_cached(x, slot)
+
+    def backward(self, grad_out, cache):
+        return self.layer.backward(grad_out, cache)
+
+    def check_current(self):
+        """Raise :class:`ShapeError` if the map was leased again since."""
+        if self.layer._generation != self.generation:
+            raise ShapeError("stale unroll: a later unroll or forward reused "
+                             "the workspace of its TT maps")
+
+
+class Uncached:
+    """A TT map for inference: ``forward_cached`` runs ``forward`` and
+    returns no cache."""
+
+    def __init__(self, layer: TTLinear):
+        self.layer = layer
+
+    def forward_cached(self, x):
+        return self.layer.forward(x), None
+
+
+def execution_plan(maps: dict, steps: int, batch: int, cached: bool) -> dict:
+    """``maps`` as one unroll of ``steps`` steps at ``batch`` rows runs them:
+    each TT map the rule picks becomes a fresh :class:`DenseView`, each other
+    TT map a :class:`SweepView`, or with ``cached=False`` (inference) an
+    :class:`Uncached`; every other map stands for itself."""
+    plan = {}
+    for name, m in maps.items():
+        if not isinstance(m, TTLinear):
+            plan[name] = m
+        elif takes_dense_plan(m.tt.spec):
+            plan[name] = DenseView(m)
+        else:
+            plan[name] = SweepView(m, steps, batch) if cached else Uncached(m)
+    return plan

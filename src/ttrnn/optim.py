@@ -52,6 +52,10 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p) for k, p in self.params.items()}
+        # Two scratch arrays for the update's temporaries, sized for the
+        # largest parameter, so a step allocates nothing.
+        size = max((p.size for p in self.params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict) -> None:
         if set(grads) != set(self.params):
@@ -66,11 +70,20 @@ class Adam:
                 raise ShapeError(f"grad {k} has shape {g.shape}, param {p.shape}")
             m = self.m[k]
             v = self.v[k]
+            s, d = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
+            # The formula in the docstring, one operation at a time in its
+            # order of evaluation, so the result is the same to the bit.
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, g, out=s)
+            v += np.multiply(1.0 - self.beta2, s, out=s)
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            p -= np.divide(s, d, out=s)
 
     def state(self) -> dict:
         """Serializable state: step count and both moment sets."""

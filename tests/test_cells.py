@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttrnn import ShapeError, TTSpec, linear
-from ttrnn.cells import GRUCell, SRNNCell, bptt, sigmoid, unroll
+from ttrnn import ShapeError, TTLinear, TTSpec, linear
+from ttrnn.cells import GRUCell, SRNNCell, _hidden_states, bptt, sigmoid, unroll
 from ttrnn.models import make_cell
 from ttrnn.tasks import cell_param_count
 
@@ -383,3 +383,124 @@ class TestExecutionPlans:
     def test_rule_picks_plan_from_shape(self, out_modes, in_modes, rank, plan):
         spec = TTSpec.with_rank(out_modes, in_modes, rank)
         assert ("dense" if linear.takes_dense_plan(spec) else "sweep") == plan
+
+
+def tt_maps(cell):
+    return [m for m in cell.named_maps().values() if isinstance(m, TTLinear)]
+
+
+def masked_inputs(cell, steps=4, batch=3, seed=9):
+    """A sequence with two padded steps, its mask and a per-step gradient."""
+    rng = np.random.default_rng(seed)
+    x_seq = rng.standard_normal((steps, batch, cell.input_dim))
+    mask = np.ones((steps, batch))
+    mask[2, 1] = 0.0
+    mask[steps - 1, batch - 1] = 0.0
+    proj_seq = rng.standard_normal((steps, batch, cell.hidden_dim))
+    return x_seq, mask, proj_seq
+
+
+class TestSweepWorkspace:
+    """Sweep-plan TT maps write unroll step t into slot t of a workspace
+    that outlives the unroll; the step caches are views into it."""
+
+    @pytest.mark.parametrize("reuse", ["unroll", "forward"])
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_stale_caches_raise(self, factory, reuse, monkeypatch):
+        force_plan(monkeypatch, "sweep")
+        cell = factory(seed=3)
+        x_a, mask, proj_seq = masked_inputs(cell, seed=1)
+        x_b = masked_inputs(cell, seed=2)[0]
+        _, caches_a = unroll(cell, x_a, mask=mask)
+        if reuse == "unroll":
+            h_b, caches_b = unroll(cell, x_b, mask=mask)
+        else:
+            # One map's forward is enough to overwrite its slot 0.
+            last = tt_maps(cell)[-1]
+            last.forward(np.ones((1, last.in_dim)))
+        cell.zero_grads()
+        with pytest.raises(ShapeError, match="stale"):
+            bptt(cell, caches_a, grad_h_seq=proj_seq)
+        for name, g in cell.grads().items():
+            assert not g.any(), f"{name} moved before the stale unroll was refused"
+        if reuse == "forward":
+            h_b, caches_b = unroll(cell, x_b, mask=mask)
+        gx_b = bptt(cell, caches_b, grad_h_seq=proj_seq)
+
+        fresh = factory(seed=3)
+        h_f, gx_f, g_f = TestExecutionPlans.run(fresh, x_b, mask, proj_seq)
+        np.testing.assert_array_equal(h_b, h_f)
+        np.testing.assert_array_equal(gx_b, gx_f)
+        for name, g in cell.grads().items():
+            np.testing.assert_array_equal(g, g_f[name], err_msg=name)
+
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_no_result_shares_the_workspace(self, factory, monkeypatch):
+        # The GRU adds three maps' input gradients in place (grad_x += ...);
+        # were one of them a workspace view, that would corrupt a cache.
+        force_plan(monkeypatch, "sweep")
+        returned = {"forward": [], "forward_cached": [], "backward": []}
+        for attr, seen in returned.items():
+            def recorded(self, *args, _fn=getattr(TTLinear, attr), _seen=seen):
+                out = _fn(self, *args)
+                _seen.append((self, out[0] if isinstance(out, tuple) else out))
+                return out
+            monkeypatch.setattr(TTLinear, attr, recorded)
+        cell = factory(seed=2)
+        x_seq, mask, proj_seq = masked_inputs(cell)
+        h_seq, caches = unroll(cell, x_seq, mask=mask)
+        grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
+        h_inf = _hidden_states(cell, x_seq, mask)
+        for attr, seen in returned.items():
+            assert len(seen) == x_seq.shape[0] * len(tt_maps(cell)), attr
+            for layer, out in seen:
+                assert layer.workspace.size > 0
+                assert not np.shares_memory(out, layer.workspace), attr
+        for out in (h_seq, grad_x, h_inf):
+            for layer in tt_maps(cell):
+                assert not np.shares_memory(out, layer.workspace)
+
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_same_shape_unrolls_reuse_one_buffer(self, factory, monkeypatch):
+        force_plan(monkeypatch, "sweep")
+        cell = factory(seed=1)
+        maps = tt_maps(cell)
+
+        def train_at(steps, batch):
+            x_seq, mask, proj_seq = masked_inputs(cell, steps, batch)
+            _, caches = unroll(cell, x_seq, mask=mask)
+            bptt(cell, caches, grad_h_seq=proj_seq)
+            _hidden_states(cell, x_seq, mask)
+            return [(m.workspace, m.workspace.ctypes.data) for m in maps]
+
+        def same(a, b):
+            return all(wa is wb and pa == pb for (wa, pa), (wb, pb) in zip(a, b))
+
+        first = train_at(4, 3)
+        assert same(train_at(4, 3), first)
+        longer = train_at(6, 3)
+        assert not any(wa is wb for (wa, _), (wb, _) in zip(longer, first))
+        assert same(train_at(6, 3), longer)
+        assert same(train_at(4, 3), longer)  # it never shrinks
+        wider = train_at(4, 5)
+        assert not any(wa is wb for (wa, _), (wb, _) in zip(wider, longer))
+        assert same(train_at(4, 5), wider)
+
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_inference_asks_for_no_cache(self, factory, monkeypatch):
+        force_plan(monkeypatch, "sweep")
+        calls = []
+        real = TTLinear.forward_cached
+
+        def counted(self, *args):
+            calls.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(TTLinear, "forward_cached", counted)
+        cell = factory(seed=6)
+        x_seq, mask, _ = masked_inputs(cell)
+        h_inf = _hidden_states(cell, x_seq, mask)
+        assert calls == []
+        h_seq, _ = unroll(cell, x_seq, mask=mask)
+        assert len(calls) == x_seq.shape[0] * len(tt_maps(cell))
+        np.testing.assert_array_equal(h_inf, h_seq)

@@ -37,14 +37,15 @@ class TestForward:
         np.testing.assert_allclose(y, x @ w.T + layer.bias, rtol=1e-12, atol=1e-12)
 
     def test_batch_of_one_and_many(self):
-        # forward reuses its work buffers across calls, growing them for a
-        # larger batch; no result may share memory with them.
+        # forward reuses the layer's workspace across calls, growing it for
+        # a larger batch; no result may share memory with it.
         layer = make_tt_layer((3, 4, 2), (2, 5, 3), (1, 2, 3, 1))
         rng = np.random.default_rng(0)
         w = layer.tt.to_dense()
         xs = [rng.standard_normal((b, 30)) for b in (1, 7, 3, 7)]
         ys = [layer.forward(x) for x in xs]
         for x, y in zip(xs, ys):
+            assert not np.shares_memory(y, layer.workspace)
             np.testing.assert_allclose(y, x @ w.T + layer.bias,
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(y, layer.forward_cached(x)[0])
@@ -160,6 +161,66 @@ class TestBackward:
             layer.backward(g, cache)
         for a, b in zip(got, layer.grad_cores):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+class TestWorkspace:
+    """Slot-backed caches: ``lease`` then ``forward_cached(x, slot)``."""
+
+    SPEC = ((3, 4, 2), (2, 5, 3), (1, 2, 3, 1))
+
+    def test_slot_path_matches_fresh_path_to_the_bit(self):
+        layer = make_tt_layer(*self.SPEC, seed=2)
+        rng = np.random.default_rng(7)
+        xs = rng.standard_normal((3, 4, layer.in_dim))
+        gs = rng.standard_normal((3, 4, layer.out_dim))
+        runs = []
+        for slotted in (False, True):
+            layer.zero_grads()
+            if slotted:
+                layer.lease(3, 4)
+            outs = [layer.forward_cached(x, t if slotted else None)
+                    for t, x in enumerate(xs)]
+            dxs = [layer.backward(g, cache) for g, (_, cache) in zip(gs, outs)][::-1]
+            grads = [g.copy() for g in layer.grads().values()]
+            runs.append(([y for y, _ in outs], dxs, grads))
+        for fresh, slotted in zip(*runs):
+            for a, b in zip(fresh, slotted):
+                np.testing.assert_array_equal(a, b)
+        ys, dxs, _ = runs[1]
+        for out in ys + dxs:
+            assert not np.shares_memory(out, layer.workspace)
+
+    @pytest.mark.parametrize("again", ["lease", "forward"])
+    def test_slot_caches_go_stale_at_the_next_lease(self, again):
+        layer = make_tt_layer(*self.SPEC)
+        rng = np.random.default_rng(1)
+        xs = rng.standard_normal((2, 3, layer.in_dim))
+        g = rng.standard_normal((3, layer.out_dim))
+        layer.lease(2, 3)
+        caches = [layer.forward_cached(x, t)[1] for t, x in enumerate(xs)]
+        for cache in caches[::-1] * 2:  # replaying a current lease is fine
+            layer.backward(g, cache)
+        if again == "lease":
+            layer.lease(2, 3)
+        else:
+            layer.forward(xs[0])
+        before = [g.copy() for g in layer.grads().values()]
+        for cache in caches:
+            with pytest.raises(ShapeError, match="stale"):
+                layer.backward(g, cache)
+        for a, b in zip(before, layer.grads().values()):
+            np.testing.assert_array_equal(a, b)
+        # A bare forward_cached stands alone whatever is leased later.
+        _, cache = layer.forward_cached(xs[0])
+        layer.lease(1, 3)
+        layer.backward(g, cache)
+
+    def test_slot_outside_the_lease_raises(self):
+        layer = make_tt_layer(*self.SPEC)
+        layer.lease(2, 3)
+        for slot, batch in ((2, 3), (-1, 3), (0, 4)):
+            with pytest.raises(ShapeError, match="outside the lease"):
+                layer.forward_cached(np.zeros((batch, layer.in_dim)), slot)
 
 
 class TestParams:

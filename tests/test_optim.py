@@ -42,6 +42,55 @@ def test_matches_reference_transcription():
     np.testing.assert_allclose(theta["w"], ref, rtol=1e-12, atol=1e-14)
 
 
+def test_in_place_step_is_the_expression_to_the_bit():
+    # The step runs through scratch arrays; it must round exactly as the
+    # one-expression update does, for parameters of several shapes and
+    # sizes (the scratch is sized for the largest and shared).
+    rng = np.random.default_rng(3)
+    shapes = {"head": (9, 40), "bias": (9,), "core": (2, 3, 4, 5), "one": ()}
+    p0 = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    grads = [{k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+              for k, s in shapes.items()} for _ in range(8)]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+
+    ref = {k: p.copy() for k, p in p0.items()}
+    m = {k: np.zeros_like(p) for k, p in p0.items()}
+    v = {k: np.zeros_like(p) for k, p in p0.items()}
+    for t, step in enumerate(grads, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, g in step.items():
+            m[k] *= b1
+            m[k] += (1.0 - b1) * g
+            v[k] *= b2
+            v[k] += (1.0 - b2) * (g * g)
+            ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+
+    theta = {k: p.copy() for k, p in p0.items()}
+    opt = Adam(theta, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for step in grads:
+        opt.step(step)
+    for k in shapes:
+        np.testing.assert_array_equal(theta[k], ref[k])
+        np.testing.assert_array_equal(opt.m[k], m[k])
+        np.testing.assert_array_equal(opt.v[k], v[k])
+
+
+def test_step_allocates_no_parameter_sized_arrays():
+    import tracemalloc
+
+    theta = {"big": np.ones((300, 200)), "small": np.ones(7)}
+    grads = {k: np.full_like(p, 0.5) for k, p in theta.items()}
+    opt = Adam(theta)
+    opt.step(grads)
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < theta["big"].nbytes // 4
+
+
 def test_quadratic_convergence():
     target = np.array([3.0, -1.5, 0.25])
     theta = {"x": np.zeros(3)}
