@@ -21,14 +21,18 @@ A step reads its maps from a dict keyed like ``named_maps()``. ``Cell.step``
 passes the cell's own maps; :func:`unroll` passes the execution plan of
 :func:`ttrnn.linear.execution_plan`, in which small TT maps are dense views
 built once for the whole sequence, and :func:`bptt` flushes those views'
-accumulated gradients into the cores when it is done. :func:`unroll` keeps
-every step's cache for :func:`bptt`. A sweep-plan TT map's step caches are
-views into the map's workspace, which the next unroll of the cell (or a
-``forward`` of the map) overwrites: :func:`bptt` on the caches of an
-older unroll raises :class:`ShapeError` before it touches any gradient,
-while running it twice on the current caches is fine. Inference (the
-models' ``forward``) runs the same step loop but asks for no caches: its
-sweep-plan TT maps run ``forward``.
+accumulated gradients into the cores when it is done.
+
+Training and inference run one step loop, ``_unroll``, and differ only in
+its ``cached`` switch. :func:`unroll` (training) keeps every step's cache
+for :func:`bptt`. A sweep-plan TT map's step caches are views into the
+map's workspace, which the next unroll of the cell (or a ``forward`` of
+the map) overwrites: :func:`bptt` on the caches of an older unroll raises
+:class:`ShapeError` before it touches any gradient, while running it
+twice on the current caches is fine. Inference (the models' ``forward``)
+keeps no cache: its sweep-plan TT maps run ``forward`` into one reused
+workspace slot, and every other step cache is dropped when the next
+step's arrives.
 """
 
 from __future__ import annotations
@@ -186,15 +190,11 @@ class GRUCell(Cell):
         return out
 
 
-def _unrolled(cell: Cell, x_seq, mask, cached: bool):
-    """The checks, execution plan and step loop that every unroll shares.
-
-    Returns ``(h_seq, maps, mask, steps)``: ``steps`` is a generator that
-    runs one timestep per item, writes its state into ``h_seq`` and yields
-    the step's cache. ``mask`` comes back reshaped to (T, B, 1), or None
-    when it blends nothing away. With ``cached=False`` (inference) the
-    sweep-plan TT maps run ``forward`` and yield no cache.
-    """
+def _unroll(cell: Cell, x_seq, mask, cached: bool):
+    """The step loop of training and inference: :func:`unroll` with
+    ``cached`` passed to :func:`ttrnn.linear.execution_plan`. With
+    ``cached=False`` (inference) sweep-plan TT maps run ``forward`` and no
+    step's cache is kept, so the caches' step list comes back empty."""
     x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
         raise ShapeError(
@@ -211,16 +211,15 @@ def _unrolled(cell: Cell, x_seq, mask, cached: bool):
         mask = None if np.all(mask == 1.0) else mask.reshape(n_steps, batch, 1)
     maps = execution_plan(cell.named_maps(), n_steps, batch, cached)
     h_seq = np.empty((n_steps, batch, cell.hidden_dim))
-
-    def steps():
-        h = np.zeros((batch, cell.hidden_dim))
-        for t in range(n_steps):
-            h_new, cache = cell._step(maps, x_seq[t], h)
-            h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
-            h_seq[t] = h
-            yield cache
-
-    return h_seq, maps, mask, steps()
+    step_caches = []
+    h = np.zeros((batch, cell.hidden_dim))
+    for t in range(n_steps):
+        h_new, cache = cell._step(maps, x_seq[t], h)
+        h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
+        h_seq[t] = h
+        if cached:
+            step_caches.append(cache)
+    return h_seq, (maps, step_caches, mask, h_seq.shape)
 
 
 def unroll(cell: Cell, x_seq, mask=None):
@@ -233,19 +232,7 @@ def unroll(cell: Cell, x_seq, mask=None):
     whole sequence (see :func:`ttrnn.linear.execution_plan`); ``caches``
     holds it.
     """
-    h_seq, maps, mask, steps = _unrolled(cell, x_seq, mask, cached=True)
-    caches = list(steps)
-    return h_seq, (maps, caches, mask, h_seq.shape)
-
-
-def _hidden_states(cell: Cell, x_seq, mask):
-    """:func:`unroll` for inference: returns ``h_seq`` alone. Sweep-plan TT
-    maps run ``forward`` and keep no cache; any other map's step cache is
-    dropped when the next step's arrives."""
-    h_seq, _, _, steps = _unrolled(cell, x_seq, mask, cached=False)
-    for _ in steps:
-        pass
-    return h_seq
+    return _unroll(cell, x_seq, mask, cached=True)
 
 
 def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):

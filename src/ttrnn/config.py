@@ -85,10 +85,6 @@ class KVConfig:
         return {f.name: f.type for f in fields(cls)}
 
     @classmethod
-    def field_names(cls):
-        return list(cls.kinds())
-
-    @classmethod
     def from_dict(cls, raw: dict):
         kinds = cls.kinds()
         kwargs = {}
@@ -177,6 +173,8 @@ class TrainConfig(KVConfig):
         super().validate()
         if self.batch_size < 1:
             raise ConfigError("field batch_size: must be >= 1")
+        if self.early_stop and self.patience < 1:
+            raise ConfigError("field patience: must be >= 1 when early_stop is true")
         if self.parameterization == "tt":
             if self.hidden_modes is None or self.input_modes is None:
                 raise ConfigError("tt parameterization needs hidden_modes "

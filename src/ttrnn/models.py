@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cells import Cell, GRUCell, SRNNCell, _hidden_states, bptt, unroll
+from .cells import Cell, GRUCell, SRNNCell, _unroll, bptt, unroll
 from .errors import ShapeError
 from .linear import Composite, DenseLinear, LinearMap, TTLinear
 from .tasks import (
@@ -116,10 +116,10 @@ class SequenceClassifier(_ProjectedModel):
     """Classify a whole sequence from its final hidden state."""
 
     def forward(self, x_seq, mask=None):
-        """Class logits of shape (B, n_classes). Inference keeps no step
-        caches: each is dropped when the next step's arrives."""
+        """Class logits of shape (B, n_classes). Inference runs the
+        training step loop but keeps no step cache (see :mod:`ttrnn.cells`)."""
         cell_in, _ = self._project(x_seq)
-        h_seq = _hidden_states(self.cell, cell_in, mask)
+        h_seq = _unroll(self.cell, cell_in, mask, cached=False)[0]
         return self.head.forward(h_seq[-1])
 
     def loss_and_grads(self, x_seq, mask, labels):
@@ -143,10 +143,10 @@ class SequencePredictor(_ProjectedModel):
     """Emit per-timestep Bernoulli logits, scored against target frames."""
 
     def forward(self, x_seq, mask=None):
-        """Unit logits of shape (T, B, n_units). Inference keeps no step
-        caches: each is dropped when the next step's arrives."""
+        """Unit logits of shape (T, B, n_units). Inference runs the
+        training step loop but keeps no step cache (see :mod:`ttrnn.cells`)."""
         cell_in, _ = self._project(x_seq)
-        h_seq = _hidden_states(self.cell, cell_in, mask)
+        h_seq = _unroll(self.cell, cell_in, mask, cached=False)[0]
         steps, batch, hidden = h_seq.shape
         flat = self.head.forward(h_seq.reshape(steps * batch, hidden))
         return flat.reshape(steps, batch, -1)

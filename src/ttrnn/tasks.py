@@ -114,11 +114,17 @@ def frame_counts(logits, targets, mask=None):
     return tp, fp, fn
 
 
-def frame_accuracy(logits, targets, mask=None) -> float:
-    """TP / (TP + FP + FN); 1.0 when there are no positives anywhere."""
-    tp, fp, fn = frame_counts(logits, targets, mask)
+def pooled_frame_accuracy(counts) -> float:
+    """TP / (TP + FP + FN) of pooled ``(TP, FP, FN)`` counts; 1.0 when there
+    are no positives anywhere."""
+    tp, fp, fn = (int(c) for c in counts)
     denom = tp + fp + fn
     return 1.0 if denom == 0 else tp / denom
+
+
+def frame_accuracy(logits, targets, mask=None) -> float:
+    """TP / (TP + FP + FN) of one batch, by :func:`pooled_frame_accuracy`."""
+    return pooled_frame_accuracy(frame_counts(logits, targets, mask))
 
 
 def gate_param_count(input_dim: int, hidden_dim: int, in_modes=None,

@@ -21,7 +21,8 @@ from .errors import ConfigError, NumericError
 from .models import build_classifier, build_predictor, model_report
 from .optim import Adam, clip_global_norm, global_norm
 from .reader import decode
-from .tasks import bernoulli_frame_nll, frame_counts, softmax_cross_entropy
+from .tasks import (bernoulli_frame_nll, frame_counts, pooled_frame_accuracy,
+                    softmax_cross_entropy)
 
 N_CLASSES = 10
 
@@ -109,19 +110,22 @@ def _batch_task(cfg: TrainConfig) -> str:
     return "classify" if cfg.is_classification() else "predict"
 
 
-def batch_loss_and_grads(model, batch: D.SequenceBatch, classify: bool):
-    """Run one batch through the model; returns (loss, weight).
-
-    The weight is what the loss averages over: sequences for
-    classification, valid target frames for prediction.
-    """
+def _batch_view(batch: D.SequenceBatch, classify: bool):
+    """``(x_tm, mask_tm, targets, weight)``: ``batch`` time-major, as the
+    model reads it, and the weight its mean loss averages over (sequences
+    for classification, valid target frames for prediction)."""
     x_tm, mask_tm = batch.time_major()
     if classify:
-        loss, _ = model.loss_and_grads(x_tm, mask_tm, batch.targets)
-        return loss, batch.size
-    targets_tm = batch.targets.transpose(1, 0, 2)
-    loss, _ = model.loss_and_grads(x_tm, mask_tm, targets_tm)
-    return loss, float(mask_tm.sum())
+        return x_tm, mask_tm, batch.targets, batch.size
+    return (x_tm, mask_tm, batch.targets.transpose(1, 0, 2),
+            float(mask_tm.sum()))
+
+
+def batch_loss_and_grads(model, batch: D.SequenceBatch, classify: bool):
+    """Run one batch through the model; returns (loss, weight)."""
+    x_tm, mask_tm, targets, weight = _batch_view(batch, classify)
+    loss, _ = model.loss_and_grads(x_tm, mask_tm, targets)
+    return loss, weight
 
 
 def train_step(model, optimizer, batch: D.SequenceBatch, classify: bool,
@@ -159,26 +163,20 @@ def evaluate(model, batches, classify: bool):
     correct = 0
     counts = np.zeros(3, dtype=np.int64)
     for batch in batches:
-        x_tm, mask_tm = batch.time_major()
+        x_tm, mask_tm, targets, weight = _batch_view(batch, classify)
         logits = model.forward(x_tm, mask=mask_tm)
         if classify:
-            loss, _ = softmax_cross_entropy(logits, batch.targets)
-            loss_sum += loss * batch.size
-            weight_sum += batch.size
-            correct += int(np.sum(np.argmax(logits, axis=1) == batch.targets))
+            loss, _ = softmax_cross_entropy(logits, targets)
+            correct += int(np.sum(np.argmax(logits, axis=1) == targets))
         else:
-            targets_tm = batch.targets.transpose(1, 0, 2)
-            loss, _ = bernoulli_frame_nll(logits, targets_tm, mask_tm)
-            frames = float(mask_tm.sum())
-            loss_sum += loss * frames
-            weight_sum += frames
-            counts += frame_counts(logits, targets_tm, mask_tm)
+            loss, _ = bernoulli_frame_nll(logits, targets, mask_tm)
+            counts += frame_counts(logits, targets, mask_tm)
+        loss_sum += loss * weight
+        weight_sum += weight
     loss = loss_sum / weight_sum
     if classify:
         return loss, correct / weight_sum
-    tp, fp, fn = (int(c) for c in counts)
-    denom = tp + fp + fn
-    return loss, 1.0 if denom == 0 else tp / denom
+    return loss, pooled_frame_accuracy(counts)
 
 
 class RunLog:

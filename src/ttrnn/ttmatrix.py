@@ -193,9 +193,6 @@ class TTMatrix:
         perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
         return np.ascontiguousarray(acc.transpose(perm).reshape(m_dim, n_dim))
 
-    def copy(self) -> "TTMatrix":
-        return TTMatrix(self.spec, [g.copy() for g in self.cores])
-
 
 def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:
     """Serialize to the TTM1 binary layout.

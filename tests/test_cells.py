@@ -6,7 +6,7 @@ import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import ShapeError, TTLinear, TTSpec, linear
-from ttrnn.cells import GRUCell, SRNNCell, _hidden_states, bptt, sigmoid, unroll
+from ttrnn.cells import GRUCell, SRNNCell, _unroll, bptt, sigmoid, unroll
 from ttrnn.models import make_cell
 from ttrnn.tasks import cell_param_count
 
@@ -450,7 +450,7 @@ class TestSweepWorkspace:
         x_seq, mask, proj_seq = masked_inputs(cell)
         h_seq, caches = unroll(cell, x_seq, mask=mask)
         grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
-        h_inf = _hidden_states(cell, x_seq, mask)
+        h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
         for attr, seen in returned.items():
             assert len(seen) == x_seq.shape[0] * len(tt_maps(cell)), attr
             for layer, out in seen:
@@ -470,7 +470,7 @@ class TestSweepWorkspace:
             x_seq, mask, proj_seq = masked_inputs(cell, steps, batch)
             _, caches = unroll(cell, x_seq, mask=mask)
             bptt(cell, caches, grad_h_seq=proj_seq)
-            _hidden_states(cell, x_seq, mask)
+            _unroll(cell, x_seq, mask, cached=False)
             return [(m.workspace, m.workspace.ctypes.data) for m in maps]
 
         def same(a, b):
@@ -499,8 +499,9 @@ class TestSweepWorkspace:
         monkeypatch.setattr(TTLinear, "forward_cached", counted)
         cell = factory(seed=6)
         x_seq, mask, _ = masked_inputs(cell)
-        h_inf = _hidden_states(cell, x_seq, mask)
+        h_inf, (_, step_caches, _, _) = _unroll(cell, x_seq, mask, cached=False)
         assert calls == []
+        assert step_caches == []
         h_seq, _ = unroll(cell, x_seq, mask=mask)
         assert len(calls) == x_seq.shape[0] * len(tt_maps(cell))
         np.testing.assert_array_equal(h_inf, h_seq)

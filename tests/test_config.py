@@ -50,6 +50,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="field early_stop"):
             TrainConfig.from_dict({"early_stop": "yes"})
 
+    def test_early_stop_needs_patience(self):
+        # With patience 0 every epoch, even one that improved, would stop.
+        with pytest.raises(ConfigError,
+                           match="field patience: must be >= 1 when early_stop is true"):
+            TrainConfig.from_dict({"early_stop": "true", "patience": "0"})
+        assert TrainConfig.from_dict({"early_stop": "true", "patience": "1"}).patience == 1
+        assert TrainConfig.from_dict({"patience": "0"}).patience == 0
+
     def test_modes_accept_x_and_comma(self):
         a = TrainConfig.from_dict({"hidden_modes": "10x10"})
         b = TrainConfig.from_dict({"hidden_modes": "10,10"})
@@ -141,7 +149,7 @@ class TestResolvedDump:
     def test_dump_contains_every_field(self):
         cfg = TrainConfig.from_dict({})
         dumped = parse_kv(cfg.to_text())
-        assert set(dumped) == set(TrainConfig.field_names())
+        assert set(dumped) == set(TrainConfig.kinds())
 
     def test_dump_preserves_float_precision(self):
         cfg = TrainConfig.from_dict({"lr": "0.1000000000000123"})

@@ -1,13 +1,18 @@
 """The benchmark in ``perfbench/`` reaches into ttrnn by name: its tracer
 wraps the callables in ``spans.TARGETS`` and its harness and worker import
-from the package. Each of those names must resolve against ``src/``. The
-perfbench files are only parsed here, never imported or changed."""
+from the package. Each of those names must resolve against ``src/``, and
+the names wrapped where ``ttrnn.models`` binds them must be the ones a
+train step calls. The perfbench files are only parsed here, never
+imported or changed."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ttrnn import models
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -84,3 +89,55 @@ def test_contract_is_not_empty():
     assert len(_span_targets()) >= 10
     files = {file for file, _, _ in _ttrnn_names()}
     assert files == {"harness.py", "worker.py"}
+
+
+# The module-level names each model's loss_and_grads calls through
+# ttrnn.models, where the tracer wraps them.
+USES = {"SequenceClassifier": {"unroll", "bptt", "softmax_cross_entropy"},
+        "SequencePredictor": {"unroll", "bptt", "bernoulli_frame_nll"}}
+
+
+def _models_bindings() -> list:
+    return [attr for module, owner, attr in _span_targets()
+            if module == "ttrnn.models" and owner is None]
+
+
+def _small_model(cls_name: str):
+    """A TT model of class ``cls_name`` and ``(x, mask, targets)`` for it,
+    with one padded step."""
+    rng = np.random.default_rng(0)
+    tt = dict(proj_dim=6, in_modes=(2, 3), hidden_modes=(3, 2), rank=2)
+    x = rng.standard_normal((4, 2, 5))
+    mask = np.ones((4, 2))
+    mask[3, 1] = 0.0
+    if cls_name == "SequenceClassifier":
+        model = models.build_classifier(5, 3, "srnn", 6, rng, **tt)
+        return model, (x, mask, np.array([0, 2]))
+    model = models.build_predictor(5, "srnn", 6, rng, **tt)
+    return model, (x, mask, (rng.random((4, 2, 5)) > 0.5).astype(float))
+
+
+def test_traced_models_are_the_ones_checked():
+    owners = {owner for module, owner, attr in _span_targets()
+              if module == "ttrnn.models" and attr == "loss_and_grads"}
+    assert owners == set(USES)
+    assert set(_models_bindings()) == set().union(*USES.values())
+
+
+@pytest.mark.parametrize("cls_name", sorted(USES))
+@pytest.mark.parametrize("attr", _models_bindings())
+def test_train_step_calls_each_wrapped_binding(attr, cls_name, monkeypatch):
+    model, (x, mask, targets) = _small_model(cls_name)
+    calls = []
+    real = getattr(models, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, attr, counted)
+    model.loss_and_grads(x, mask, targets)
+    assert len(calls) == (1 if attr in USES[cls_name] else 0)
+    calls.clear()
+    model.forward(x, mask=mask)
+    assert calls == [], f"forward calls models.{attr}"

@@ -12,7 +12,9 @@ from synthdata import write_idx_fixture, write_pianoroll_fixture
 from ttrnn.checkpoint import load_checkpoint, read_checkpoint
 from ttrnn.config import TrainConfig
 from ttrnn.errors import ConfigError, FormatError, NumericError
-from ttrnn.models import SequenceClassifier, SequencePredictor
+from ttrnn import linear
+from ttrnn.models import (SequenceClassifier, SequencePredictor,
+                          build_classifier, build_predictor)
 from ttrnn.optim import Adam, global_norm
 from ttrnn.train import (
     batch_loss_and_grads,
@@ -234,6 +236,42 @@ class TestEvaluate:
         nll, acc = evaluate(model, batches, False)
         assert np.isfinite(nll) and nll > 0
         assert 0.0 <= acc <= 1.0
+
+
+class TestBatchView:
+    """Training and evaluation read each batch the same way: the same
+    inputs, mask, targets and weight give the same loss."""
+
+    @staticmethod
+    def padded_batches(classify):
+        # Unequal lengths, so most batches carry padding; the last is short.
+        rng = np.random.default_rng(4)
+        lengths = [5, 2, 7, 3, 6, 4, 2]
+        seqs = [(rng.random((n, 8)) > 0.6).astype(float) for n in lengths]
+        labels = rng.integers(0, 3, len(seqs)) if classify else None
+        return D.make_batches(seqs, "classify" if classify else "predict", 3,
+                              labels=labels)
+
+    @pytest.mark.parametrize("plan", ["dense", "sweep"])
+    @pytest.mark.parametrize("classify", [True, False],
+                             ids=["classifier", "predictor"])
+    def test_eval_loss_is_the_weighted_train_loss(self, classify, plan,
+                                                  monkeypatch):
+        monkeypatch.setattr(linear, "takes_dense_plan",
+                            lambda spec: plan == "dense")
+        tt = dict(proj_dim=6, in_modes=(2, 3), hidden_modes=(3, 2), rank=2)
+        rng = np.random.default_rng(5)
+        model = (build_classifier(8, 3, "gru", 6, rng, **tt) if classify
+                 else build_predictor(8, "srnn", 6, rng, **tt))
+        batches = self.padded_batches(classify)
+        assert any(not b.mask.all() for b in batches)
+        loss_sum = weight_sum = 0.0
+        for batch in batches:
+            loss, weight = batch_loss_and_grads(model, batch, classify)
+            assert weight == (batch.size if classify else batch.mask.sum())
+            loss_sum += loss * weight
+            weight_sum += weight
+        assert evaluate(model, batches, classify)[0] == loss_sum / weight_sum
 
 
 class TestTrainRun:
