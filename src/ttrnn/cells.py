@@ -25,14 +25,14 @@ accumulated gradients into the cores when it is done.
 
 Training and inference run one step loop, ``_unroll``, and differ only in
 its ``cached`` switch. :func:`unroll` (training) keeps every step's cache
-for :func:`bptt`. A sweep-plan TT map's step caches are views into the
-map's workspace, which the next unroll of the cell (or a ``forward`` of
+for :func:`bptt`. Every TT map's caches, under either plan, are views into
+the map's workspace, which the next unroll of the cell (or a ``forward`` of
 the map) overwrites: :func:`bptt` on the caches of an older unroll raises
 :class:`ShapeError` before it touches any gradient, while running it
 twice on the current caches is fine. Inference (the models' ``forward``)
-keeps no cache: its sweep-plan TT maps run ``forward`` into one reused
-workspace slot, and every other step cache is dropped when the next
-step's arrives.
+keeps no cache: each step of a sweep-plan TT map leases and reuses slot 0
+of its workspace, and every step cache is dropped when the next step's
+arrives.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .linear import (Composite, DenseView, LinearMap, SweepView, _check_batch,
+from .linear import (Composite, DenseView, LeasedView, LinearMap, _check_batch,
                      _check_bias, execution_plan)
 
 
@@ -193,8 +193,8 @@ class GRUCell(Cell):
 def _unroll(cell: Cell, x_seq, mask, cached: bool):
     """The step loop of training and inference: :func:`unroll` with
     ``cached`` passed to :func:`ttrnn.linear.execution_plan`. With
-    ``cached=False`` (inference) sweep-plan TT maps run ``forward`` and no
-    step's cache is kept, so the caches' step list comes back empty."""
+    ``cached=False`` (inference) sweep-plan TT maps run as themselves and
+    no step's cache is kept, so the caches' step list comes back empty."""
     x_seq = np.ascontiguousarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
         raise ShapeError(
@@ -261,7 +261,7 @@ def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
             raise ShapeError(f"grad_h_last must have shape {shape[1:]}, "
                              f"got {carry.shape}")
     for m in maps.values():
-        if isinstance(m, SweepView):
+        if isinstance(m, LeasedView):
             m.check_current()
     steps, batch, _ = shape
     grad_x_seq = np.empty((steps, batch, cell.input_dim))

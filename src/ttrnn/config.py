@@ -179,6 +179,9 @@ class TrainConfig(KVConfig):
             if self.hidden_modes is None or self.input_modes is None:
                 raise ConfigError("tt parameterization needs hidden_modes "
                                   "and input_modes")
+            for name in ("hidden_modes", "input_modes"):
+                if min(getattr(self, name)) < 1:
+                    raise ConfigError(f"field {name}: every mode must be >= 1")
             if self.rank < 1:
                 raise ConfigError("field rank: must be >= 1 for tt")
             prod = int(np.prod(self.hidden_modes))

@@ -2,8 +2,7 @@
 
 Both variants expose the same contract:
 
-* ``forward(x)`` for inference,
-* ``forward_cached(x) -> (y, cache)`` when gradients will be needed,
+* ``forward_cached(x) -> (y, cache)``, and ``forward(x)``, its ``y`` alone,
 * ``backward(grad_out, cache) -> grad_x``, which also accumulates parameter
   gradients into the layer's ``grads()`` arrays.
 
@@ -11,7 +10,7 @@ Caches are explicit values rather than hidden layer state so a recurrent
 unroll can apply one layer at many timesteps and replay the caches in
 reverse order during backpropagation.
 
-``TTLinear.forward`` never materializes the full matrix. With ``x`` of shape
+A :class:`TTLinear` never materializes the full matrix. With ``x`` of shape
 ``(B, N)`` it sweeps the cores left to right, carrying a batched tensor ``z``
 of shape ``(B * P_k, r_{k-1} * n_k, Q_k)`` where ``P_k`` is the product of
 output modes already consumed and ``Q_k`` the product of input modes not yet
@@ -34,15 +33,13 @@ flat array that lives as long as the map, grows and never shrinks. It holds
 slots; slot t has one region per step with ``Q_k > 1``, of that step's
 output size in :meth:`TTSpec.sweep_shapes`. :meth:`TTLinear.lease` sizes the
 workspace for T slots at batch B and starts a new generation.
-``forward(x)`` leases one slot and sweeps into slot 0, so inference
-allocates no step output. ``forward_cached(x, slot)`` sweeps into a slot of
-the current lease, and its cache holds views into the workspace stamped
-with the generation; ``backward`` raises :class:`ShapeError` on a cache from
-an older generation, because a later lease may have overwritten it. A bare
-``forward_cached(x)`` still gives each step a fresh array, so its cache
-stands alone. Nothing a pass returns is a workspace view. Multi-MB fresh
-step outputs would be page faulted in on every call, a cost that grows
-faster than the map.
+``forward_cached(x, slot)`` sweeps into a slot of the current lease; a bare
+``forward_cached(x)`` (and so ``forward``) leases one slot at ``x``'s batch
+and sweeps into slot 0. Every cache holds views into the workspace stamped
+with the generation, and ``backward`` raises :class:`ShapeError` on a cache
+from an older one: a TT cache is valid until its map's next lease. Nothing
+a pass returns is a workspace view. Multi-MB fresh step outputs would be
+page faulted in on every call, a cost that grows faster than the map.
 
 A recurrent unroll applies each cell map T times to the same weights, so
 for small maps it pays to build the matrix once. :func:`execution_plan`
@@ -50,11 +47,14 @@ picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
 
 * **sweep**: a :class:`SweepView`, which leases T slots of the map's
   workspace at the unroll's batch and runs step t's sweep into slot t
-  (for inference, an :class:`Uncached`, which runs ``forward``);
+  (for inference, the map itself, each step leasing slot 0);
 * **dense**: a :class:`DenseView`, which runs the map's own sweep once on
   the identity to get ``W.T``, then costs one matmul per step, accumulates
   ``dW.T`` over the steps and projects it onto the core gradients with one
   backward sweep in :meth:`DenseView.flush`.
+
+Both views record the lease their caches were made at, and
+:meth:`LeasedView.check_current` tells whether it still holds.
 
 Both plans are exact: the dense one reuses the sweep and its backward pass,
 so it differs from the sweep only in rounding. :func:`takes_dense_plan`
@@ -249,11 +249,11 @@ class TTLinear(LinearMap):
             for g in self.tt.cores
         ]
 
-    def _sweep(self, x, mats, outs=None):
+    def _sweep(self, x, mats, outs):
         """The core sweep on checked ``x``: returns ``(y, z_inputs)``, the
-        output and each step's input. With ``outs``, one array or None per
-        step, the steps write into those arrays instead of fresh ones; the
-        last step (``Q_{d-1} = 1``) always returns a fresh one."""
+        output and each step's input. The steps write into ``outs``, a
+        workspace slot from :meth:`_slot`; the steps with ``Q_k = 1`` (the
+        last always is one) return fresh arrays."""
         b = x.shape[0]
         z = x
         z_inputs = []
@@ -265,7 +265,7 @@ class TTLinear(LinearMap):
                 # One column per block: the stack of matvecs is one 2-D GEMM.
                 z = z[:, :, 0] @ mat.T
             else:
-                z = np.matmul(mat, z, out=None if outs is None else outs[k])
+                z = np.matmul(mat, z, out=outs[k])
         y = z.reshape(b, self.out_dim)
         if self.bias is not None:
             y = y + self.bias
@@ -297,29 +297,21 @@ class TTLinear(LinearMap):
             start += size
         return outs
 
-    def forward(self, x):
-        """Inference: no cache, so the steps' outputs go to workspace slot
-        0, which this call leases (a new generation). The result is a fresh
+    def forward_cached(self, x, slot=None):
+        """``(y, cache)``. The steps write into ``slot``, one of the current
+        lease's (see :meth:`lease`), and the cache holds views of it: it
+        goes stale at the next lease. Without ``slot`` the call leases one
+        slot at ``x``'s batch and writes into slot 0. ``y`` is a fresh
         array; do not call one layer from two threads at once."""
         x = _check_batch(x, self.in_dim, "input")
-        self.lease(1, x.shape[0])
-        return self._sweep(x, self._core_matrices(), self._slot(0, x.shape[0]))[0]
-
-    def forward_cached(self, x, slot=None):
-        """``(y, cache)``. Without ``slot`` every step's output is a fresh
-        array, so the cache stands alone. With ``slot``, one of the current
-        lease's (see :meth:`lease`), the steps write into that workspace
-        slot and the cache holds views of it: it goes stale at the next
-        lease."""
-        x = _check_batch(x, self.in_dim, "input")
-        mats = self._core_matrices()
         if slot is None:
-            y, z_inputs = self._sweep(x, mats)
-            return y, (mats, z_inputs, x.shape[0], None)
+            slot = 0
+            self.lease(1, x.shape[0])
         slots, batch = self._leased
         if not 0 <= slot < slots or x.shape[0] != batch:
             raise ShapeError(f"slot {slot} at batch {x.shape[0]} is outside the "
                              f"lease of {slots} slots at batch {batch}")
+        mats = self._core_matrices()
         y, z_inputs = self._sweep(x, mats, self._slot(slot, batch))
         return y, (mats, z_inputs, batch, self._generation)
 
@@ -331,7 +323,7 @@ class TTLinear(LinearMap):
             raise ShapeError(
                 f"grad_out batch {grad_out.shape[0]} does not match cached batch {b}"
             )
-        if generation not in (None, self._generation):
+        if generation != self._generation:
             raise ShapeError("stale cache: the map's workspace was leased again "
                              "(by a later unroll or forward) since it was made")
         if self.grad_bias is not None:
@@ -377,7 +369,22 @@ def takes_dense_plan(spec: TTSpec) -> bool:
     return size <= DENSE_PLAN_CAP and size <= spec.flops_per_row()
 
 
-class DenseView:
+class LeasedView:
+    """A TT map as one unroll runs it, made at one lease of the map's
+    workspace; its caches hold views of that lease."""
+
+    def __init__(self, layer: TTLinear):
+        self.layer = layer
+        self.generation = layer._generation  # of the lease just made
+
+    def check_current(self):
+        """Raise :class:`ShapeError` if the map was leased again since."""
+        if self.layer._generation != self.generation:
+            raise ShapeError("stale unroll: a later unroll or forward reused "
+                             "the workspace of its TT maps")
+
+
+class DenseView(LeasedView):
     """A biasless :class:`TTLinear` materialized for one unroll.
 
     ``forward_cached``/``backward`` follow the :class:`LinearMap` contract,
@@ -386,10 +393,10 @@ class DenseView:
     """
 
     def __init__(self, layer: TTLinear):
-        self.layer = layer
         # Row i of eye @ W.T is column i of W: W.T through the exact sweep.
         self.wt, self._eye_cache = layer.forward_cached(np.eye(layer.in_dim))
         self.grad_wt = np.zeros_like(self.wt)
+        super().__init__(layer)
 
     def forward_cached(self, x):
         return x @ self.wt, x
@@ -405,14 +412,14 @@ class DenseView:
         self.grad_wt[...] = 0.0
 
 
-class SweepView:
+class SweepView(LeasedView):
     """A sweep-plan :class:`TTLinear` leased for one unroll of ``steps``
     steps at ``batch`` rows: the t-th ``forward_cached`` runs the map's own
     sweep into workspace slot t, and ``backward`` is the map's."""
 
     def __init__(self, layer: TTLinear, steps: int, batch: int):
-        self.layer = layer
-        self.generation = layer.lease(steps, batch)
+        layer.lease(steps, batch)
+        super().__init__(layer)
         self._next = 0
 
     def forward_cached(self, x):
@@ -423,29 +430,12 @@ class SweepView:
     def backward(self, grad_out, cache):
         return self.layer.backward(grad_out, cache)
 
-    def check_current(self):
-        """Raise :class:`ShapeError` if the map was leased again since."""
-        if self.layer._generation != self.generation:
-            raise ShapeError("stale unroll: a later unroll or forward reused "
-                             "the workspace of its TT maps")
-
-
-class Uncached:
-    """A TT map for inference: ``forward_cached`` runs ``forward`` and
-    returns no cache."""
-
-    def __init__(self, layer: TTLinear):
-        self.layer = layer
-
-    def forward_cached(self, x):
-        return self.layer.forward(x), None
-
 
 def execution_plan(maps: dict, steps: int, batch: int, cached: bool) -> dict:
     """``maps`` as one unroll of ``steps`` steps at ``batch`` rows runs them:
     each TT map the rule picks becomes a fresh :class:`DenseView`, each other
-    TT map a :class:`SweepView`, or with ``cached=False`` (inference) an
-    :class:`Uncached`; every other map stands for itself."""
+    TT map a :class:`SweepView`, unless ``cached=False`` (inference), where
+    it stands for itself as every other map does."""
     plan = {}
     for name, m in maps.items():
         if not isinstance(m, TTLinear):
@@ -453,5 +443,5 @@ def execution_plan(maps: dict, steps: int, batch: int, cached: bool) -> dict:
         elif takes_dense_plan(m.tt.spec):
             plan[name] = DenseView(m)
         else:
-            plan[name] = SweepView(m, steps, batch) if cached else Uncached(m)
+            plan[name] = SweepView(m, steps, batch) if cached else m
     return plan

@@ -404,10 +404,13 @@ class TestSweepWorkspace:
     """Sweep-plan TT maps write unroll step t into slot t of a workspace
     that outlives the unroll; the step caches are views into it."""
 
+    @pytest.mark.parametrize("plan", PLANS)
     @pytest.mark.parametrize("reuse", ["unroll", "forward"])
     @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
-    def test_stale_caches_raise(self, factory, reuse, monkeypatch):
-        force_plan(monkeypatch, "sweep")
+    def test_stale_caches_raise(self, factory, reuse, plan, monkeypatch):
+        # A dense view's identity sweep is a cache in its map's workspace
+        # too, so either plan refuses an unroll whose lease is gone.
+        force_plan(monkeypatch, plan)
         cell = factory(seed=3)
         x_a, mask, proj_seq = masked_inputs(cell, seed=1)
         x_b = masked_inputs(cell, seed=2)[0]
@@ -415,7 +418,7 @@ class TestSweepWorkspace:
         if reuse == "unroll":
             h_b, caches_b = unroll(cell, x_b, mask=mask)
         else:
-            # One map's forward is enough to overwrite its slot 0.
+            # One map's forward is enough: it leases that map's workspace.
             last = tt_maps(cell)[-1]
             last.forward(np.ones((1, last.in_dim)))
         cell.zero_grads()
@@ -439,7 +442,7 @@ class TestSweepWorkspace:
         # The GRU adds three maps' input gradients in place (grad_x += ...);
         # were one of them a workspace view, that would corrupt a cache.
         force_plan(monkeypatch, "sweep")
-        returned = {"forward": [], "forward_cached": [], "backward": []}
+        returned = {"forward_cached": [], "backward": []}
         for attr, seen in returned.items():
             def recorded(self, *args, _fn=getattr(TTLinear, attr), _seen=seen):
                 out = _fn(self, *args)
@@ -451,8 +454,12 @@ class TestSweepWorkspace:
         h_seq, caches = unroll(cell, x_seq, mask=mask)
         grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
         h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
-        for attr, seen in returned.items():
-            assert len(seen) == x_seq.shape[0] * len(tt_maps(cell)), attr
+        calls = x_seq.shape[0] * len(tt_maps(cell))
+        # forward_cached runs once per step and map in training, once in
+        # inference.
+        for attr, times in (("forward_cached", 2), ("backward", 1)):
+            seen = returned[attr]
+            assert len(seen) == times * calls, attr
             for layer, out in seen:
                 assert layer.workspace.size > 0
                 assert not np.shares_memory(out, layer.workspace), attr
@@ -471,7 +478,18 @@ class TestSweepWorkspace:
             _, caches = unroll(cell, x_seq, mask=mask)
             bptt(cell, caches, grad_h_seq=proj_seq)
             _unroll(cell, x_seq, mask, cached=False)
-            return [(m.workspace, m.workspace.ctypes.data) for m in maps]
+            held = [(m.workspace, m.workspace.ctypes.data) for m in maps]
+            # Bare forward_cached + backward pairs at the same batch fit in
+            # what the unroll leased, and their step inputs live there.
+            for m, (workspace, address) in zip(maps, held):
+                for _ in range(steps):
+                    _, cache = m.forward_cached(np.ones((batch, m.in_dim)))
+                    assert m.workspace is workspace
+                    assert m.workspace.ctypes.data == address
+                    for z in cache[1][1:]:
+                        assert np.shares_memory(z, workspace)
+                    m.backward(np.ones((batch, m.out_dim)), cache)
+            return held
 
         def same(a, b):
             return all(wa is wb and pa == pb for (wa, pa), (wb, pb) in zip(a, b))
@@ -488,20 +506,25 @@ class TestSweepWorkspace:
 
     @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
     def test_inference_asks_for_no_cache(self, factory, monkeypatch):
+        # Inference keeps no step cache, and each step leases one slot of
+        # its map's workspace where an unroll leases T.
         force_plan(monkeypatch, "sweep")
-        calls = []
-        real = TTLinear.forward_cached
+        leases = []
+        real = TTLinear.lease
 
-        def counted(self, *args):
-            calls.append(self)
-            return real(self, *args)
+        def counted(self, slots, batch):
+            leases.append((self, slots, batch))
+            return real(self, slots, batch)
 
-        monkeypatch.setattr(TTLinear, "forward_cached", counted)
+        monkeypatch.setattr(TTLinear, "lease", counted)
         cell = factory(seed=6)
         x_seq, mask, _ = masked_inputs(cell)
+        steps, batch = x_seq.shape[:2]
         h_inf, (_, step_caches, _, _) = _unroll(cell, x_seq, mask, cached=False)
-        assert calls == []
         assert step_caches == []
+        assert len(leases) == steps * len(tt_maps(cell))
+        assert all(lease[1:] == (1, batch) for lease in leases)
+        leases.clear()
         h_seq, _ = unroll(cell, x_seq, mask=mask)
-        assert len(calls) == x_seq.shape[0] * len(tt_maps(cell))
+        assert [lease[1:] for lease in leases] == [(steps, batch)] * len(tt_maps(cell))
         np.testing.assert_array_equal(h_inf, h_seq)

@@ -79,6 +79,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="hidden_modes"):
             TrainConfig.from_dict({"hidden_modes": "none"})
 
+    @pytest.mark.parametrize("name, fields", [
+        # Both products still check out (64 and the cell input width 32).
+        ("hidden_modes", {"hidden": "0", "hidden_modes": "-8x-8"}),
+        ("input_modes", {"hidden": "64", "hidden_modes": "8x8",
+                         "input_modes": "-4x-8"}),
+        ("hidden_modes", {"hidden": "0", "hidden_modes": "0x8"}),
+    ], ids=["negative-hidden", "negative-input", "zero-hidden"])
+    def test_tt_modes_must_be_positive(self, name, fields):
+        with pytest.raises(ConfigError, match=f"field {name}: every mode must be >= 1"):
+            TrainConfig.from_dict(fields)
+
     def test_dense_needs_no_modes(self):
         cfg = TrainConfig.from_dict({"parameterization": "dense",
                                      "hidden_modes": "none",

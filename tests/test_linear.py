@@ -144,12 +144,14 @@ class TestBackward:
             np.testing.assert_allclose(c2, 2 * c1, rtol=1e-12, atol=1e-14)
 
     def test_cache_replay_out_of_order(self):
-        # BPTT replays caches newest-first; each cache must stand alone.
+        # BPTT replays caches newest-first; each slot's cache must stand
+        # alone within the lease.
         layer = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
         rng = np.random.default_rng(4)
         xs = [rng.standard_normal((2, 6)) for _ in range(3)]
         gs = [rng.standard_normal((2, 6)) for _ in range(3)]
-        caches = [layer.forward_cached(x)[1] for x in xs]
+        layer.lease(3, 2)
+        caches = [layer.forward_cached(x, t)[1] for t, x in enumerate(xs)]
         layer.zero_grads()
         for g, cache in zip(reversed(gs), reversed(caches)):
             layer.backward(g, cache)
@@ -169,25 +171,29 @@ class TestWorkspace:
     SPEC = ((3, 4, 2), (2, 5, 3), (1, 2, 3, 1))
 
     def test_slot_path_matches_fresh_path_to_the_bit(self):
+        # Slot t of one lease against bare calls, each of which leases slot
+        # 0 afresh and is replayed before the next.
         layer = make_tt_layer(*self.SPEC, seed=2)
         rng = np.random.default_rng(7)
         xs = rng.standard_normal((3, 4, layer.in_dim))
         gs = rng.standard_normal((3, 4, layer.out_dim))
-        runs = []
-        for slotted in (False, True):
-            layer.zero_grads()
-            if slotted:
-                layer.lease(3, 4)
-            outs = [layer.forward_cached(x, t if slotted else None)
-                    for t, x in enumerate(xs)]
-            dxs = [layer.backward(g, cache) for g, (_, cache) in zip(gs, outs)][::-1]
-            grads = [g.copy() for g in layer.grads().values()]
-            runs.append(([y for y, _ in outs], dxs, grads))
-        for fresh, slotted in zip(*runs):
-            for a, b in zip(fresh, slotted):
+        layer.zero_grads()
+        layer.lease(3, 4)
+        outs = [layer.forward_cached(x, t) for t, x in enumerate(xs)]
+        slotted = ([y for y, _ in outs],
+                   [layer.backward(g, cache) for g, (_, cache) in zip(gs, outs)],
+                   [g.copy() for g in layer.grads().values()])
+        layer.zero_grads()
+        ys, dxs = [], []
+        for x, g in zip(xs, gs):
+            y, cache = layer.forward_cached(x)
+            ys.append(y)
+            dxs.append(layer.backward(g, cache))
+        bare = (ys, dxs, list(layer.grads().values()))
+        for want, got in zip(bare, slotted):
+            for a, b in zip(want, got):
                 np.testing.assert_array_equal(a, b)
-        ys, dxs, _ = runs[1]
-        for out in ys + dxs:
+        for out in slotted[0] + slotted[1] + ys + dxs:
             assert not np.shares_memory(out, layer.workspace)
 
     @pytest.mark.parametrize("again", ["lease", "forward"])
@@ -196,24 +202,32 @@ class TestWorkspace:
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((2, 3, layer.in_dim))
         g = rng.standard_normal((3, layer.out_dim))
+
+        def lease_again():
+            if again == "lease":
+                layer.lease(2, 3)
+            else:
+                layer.forward(xs[0])
+
+        def assert_stale(caches):
+            before = [g.copy() for g in layer.grads().values()]
+            for cache in caches:
+                with pytest.raises(ShapeError, match="stale"):
+                    layer.backward(g, cache)
+            for a, b in zip(before, layer.grads().values()):
+                np.testing.assert_array_equal(a, b)
+
         layer.lease(2, 3)
         caches = [layer.forward_cached(x, t)[1] for t, x in enumerate(xs)]
         for cache in caches[::-1] * 2:  # replaying a current lease is fine
             layer.backward(g, cache)
-        if again == "lease":
-            layer.lease(2, 3)
-        else:
-            layer.forward(xs[0])
-        before = [g.copy() for g in layer.grads().values()]
-        for cache in caches:
-            with pytest.raises(ShapeError, match="stale"):
-                layer.backward(g, cache)
-        for a, b in zip(before, layer.grads().values()):
-            np.testing.assert_array_equal(a, b)
-        # A bare forward_cached stands alone whatever is leased later.
+        lease_again()
+        assert_stale(caches)
+        # A bare forward_cached leases one slot: the same rule holds.
         _, cache = layer.forward_cached(xs[0])
-        layer.lease(1, 3)
         layer.backward(g, cache)
+        lease_again()
+        assert_stale([cache])
 
     def test_slot_outside_the_lease_raises(self):
         layer = make_tt_layer(*self.SPEC)
