@@ -104,8 +104,9 @@ def _median_time(fn, reps: int, warmups: int) -> float:
 def tt_work_bytes(spec: TTSpec, batch: int) -> int:
     """Peak transient floats held by the forward sweep, in bytes.
 
-    Step k of :meth:`TTSpec.sweep_shapes` holds its input z (B*P_k,
-    r_{k-1}*n_k, Q_k) and its output (B*P_k, m_k*r_k, Q_k) at once.
+    Each step ``(rows, height, width, cols)`` of :meth:`TTSpec.sweep_shapes`,
+    in the sweep's own direction, holds its input ``(rows, width, cols)``
+    and its output ``(rows, height, cols)`` at once.
     """
     return 8 * max(rows * (height + width) * cols
                    for rows, height, width, cols in spec.sweep_shapes(batch))

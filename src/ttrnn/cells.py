@@ -13,6 +13,14 @@ state untouched and contributes nothing to any gradient, so batches of
 unequal-length sequences train exactly as if each sequence were processed
 alone.
 
+The step at t = 0 runs from the zero initial state, which the loop passes
+as ``h_prev = None``, and skips the work that state makes exact zeros, in
+the forward and the backward pass: an SRNN runs no ``wh``, and a GRU runs
+no ``wh*`` map and no reset gate (``wxr``), since ``r_0 * h_0 = 0``. Those
+maps' outputs and weight gradients are zeros, and the state's own gradient
+is never used, so ``h_seq`` and every gradient equal the full step's up to
+the sign of exact zeros. The maps skipped run T - 1 times per unroll.
+
 A cell lists its parts once, in ``parts()`` (SRNN: ``wx, wh, bias``; GRU:
 ``wx{g}, wh{g}, bias_{g}`` per gate); :class:`ttrnn.linear.Composite` derives
 ``params()``, ``grads()``, ``named_maps()`` and ``named_arrays()`` from it.
@@ -63,12 +71,17 @@ class Cell(Composite):
         return self._step(self.named_maps(), x_t, h_prev)
 
     def _step(self, maps, x_t, h_prev):
-        """The gate equations on checked (B, D) and (B, H) arrays."""
+        """The gate equations on checked (B, D) and (B, H) arrays. ``h_prev``
+        None is the zero initial state: the step then skips every hidden map
+        and whatever else only multiplies the state, whose results are exact
+        zeros."""
         raise NotImplementedError
 
     def _step_backward(self, maps, grad_h, cache):
         """Backward through one step: returns ``(grad_x_t, grad_h_prev)``
-        and accumulates parameter gradients."""
+        and accumulates parameter gradients. After a step from the zero
+        state ``grad_h_prev`` is None: the skipped maps' weight gradients
+        are zero, and no parameter takes the state's gradient."""
         raise NotImplementedError
 
 
@@ -92,9 +105,12 @@ class SRNNCell(Cell):
         self.grad_bias = np.zeros_like(self.bias)
 
     def _step(self, maps, x_t, h_prev):
-        ax, cx = maps["wx"].forward_cached(x_t)
-        ah, ch = maps["wh"].forward_cached(h_prev)
-        h_t = np.tanh(ax + ah + self.bias)
+        a, cx = maps["wx"].forward_cached(x_t)
+        ch = None
+        if h_prev is not None:
+            ah, ch = maps["wh"].forward_cached(h_prev)
+            a = a + ah
+        h_t = np.tanh(a + self.bias)
         return h_t, (cx, ch, h_t)
 
     def _step_backward(self, maps, grad_h, cache):
@@ -102,7 +118,7 @@ class SRNNCell(Cell):
         da = grad_h * (1.0 - h_t * h_t)
         self.grad_bias += da.sum(axis=0)
         grad_x = maps["wx"].backward(da, cx)
-        grad_h_prev = maps["wh"].backward(da, ch)
+        grad_h_prev = None if ch is None else maps["wh"].backward(da, ch)
         return grad_x, grad_h_prev
 
     def parts(self):
@@ -144,36 +160,45 @@ class GRUCell(Cell):
         self.grad_bias = {g: np.zeros_like(b) for g, b in self.bias.items()}
 
     def _step(self, maps, x_t, h_prev):
+        az, cxz = maps["wxz"].forward_cached(x_t)
+        ac, cxh = maps["wxh"].forward_cached(x_t)
+        if h_prev is None:
+            # From the zero state every hidden map gives 0, and so does
+            # r_t * h_prev whatever r_t is: no reset gate, and h_t = z_t * c_t.
+            z = sigmoid(az + self.bias["z"])
+            c = np.tanh(ac + self.bias["h"])
+            return z * c, (cxz, cxh, z, c, None)
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
         r = sigmoid(ar + br + self.bias["r"])
-        az, cxz = maps["wxz"].forward_cached(x_t)
         bz, chz = maps["whz"].forward_cached(h_prev)
         z = sigmoid(az + bz + self.bias["z"])
         s = r * h_prev
-        ac, cxh = maps["wxh"].forward_cached(x_t)
         bc, chh = maps["whh"].forward_cached(s)
         c = np.tanh(ac + bc + self.bias["h"])
         h_t = (1.0 - z) * h_prev + z * c
-        cache = (cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev)
-        return h_t, cache
+        return h_t, (cxz, cxh, z, c, (cxr, chr_, chz, chh, r, h_prev))
 
     def _step_backward(self, maps, grad_h, cache):
-        cxr, chr_, cxz, chz, cxh, chh, r, z, c, h_prev = cache
+        cxz, cxh, z, c, hidden = cache
+        h_prev = 0.0 if hidden is None else hidden[-1]
         dz = grad_h * (c - h_prev)
         dc = grad_h * z
-        dh_prev = grad_h * (1.0 - z)
         # Candidate branch (tanh).
         dac = dc * (1.0 - c * c)
         self.grad_bias["h"] += dac.sum(axis=0)
         grad_x = maps["wxh"].backward(dac, cxh)
-        ds = maps["whh"].backward(dac, chh)
-        dr = ds * h_prev
-        dh_prev = dh_prev + ds * r
         # Update gate (sigmoid).
         daz = dz * z * (1.0 - z)
         self.grad_bias["z"] += daz.sum(axis=0)
         grad_x += maps["wxz"].backward(daz, cxz)
+        if hidden is None:
+            return grad_x, None
+        cxr, chr_, chz, chh, r, _ = hidden
+        dh_prev = grad_h * (1.0 - z)
+        ds = maps["whh"].backward(dac, chh)
+        dr = ds * h_prev
+        dh_prev = dh_prev + ds * r
         dh_prev += maps["whz"].backward(daz, chz)
         # Reset gate (sigmoid).
         dar = dr * r * (1.0 - r)
@@ -214,7 +239,8 @@ def _unroll(cell: Cell, x_seq, mask, cached: bool):
     step_caches = []
     h = np.zeros((batch, cell.hidden_dim))
     for t in range(n_steps):
-        h_new, cache = cell._step(maps, x_seq[t], h)
+        # Step 0 runs from the zero state, which it is told as None.
+        h_new, cache = cell._step(maps, x_seq[t], h if t else None)
         h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
         h_seq[t] = h
         if cached:
@@ -272,7 +298,8 @@ def bptt(cell: Cell, caches, grad_h_seq=None, grad_h_last=None):
         else:
             grad_x_seq[t], carry = cell._step_backward(maps, mask[t] * g,
                                                        step_caches[t])
-            carry = carry + (1.0 - mask[t]) * g
+            if t:  # the zero initial state takes no gradient
+                carry = carry + (1.0 - mask[t]) * g
     for m in maps.values():
         if isinstance(m, DenseView):
             m.flush()

@@ -105,11 +105,12 @@ def _describe_record(ckpt, name: str, kind: int) -> str:
         tt, bias = ckpt.ttmap(name)
         spec = tt.spec
         count = spec.param_count() + (0 if bias is None else spec.out_dim)
+        order = "rtl" if spec.right_to_left else "ltr"
         plan = "dense" if takes_dense_plan(spec) else "sweep"
         return (f"tt modes {'x'.join(map(str, spec.out_modes))} by "
                 f"{'x'.join(map(str, spec.in_modes))} "
                 f"ranks {'-'.join(map(str, spec.ranks))} params {count} "
-                f"plan {plan}")
+                f"order {order} plan {plan}")
     arr = ckpt.array(name)
     shape = "x".join(map(str, arr.shape)) if arr.ndim else "scalar"
     return f"array {shape} params {arr.size}"

@@ -11,28 +11,37 @@ unroll can apply one layer at many timesteps and replay the caches in
 reverse order during backpropagation.
 
 A :class:`TTLinear` never materializes the full matrix. With ``x`` of shape
-``(B, N)`` it sweeps the cores left to right, carrying a batched tensor ``z``
-of shape ``(B * P_k, r_{k-1} * n_k, Q_k)`` where ``P_k`` is the product of
-output modes already consumed and ``Q_k`` the product of input modes not yet
-consumed. Each step is one batched matmul against the core reshaped to
-``(m_k * r_k, r_{k-1} * n_k)``, except where ``Q_k = 1`` (always so at the
-last core): there the stack of ``B * P_k`` matvecs runs as one 2-D GEMM
-``z[:, :, 0] @ core.T``, and the backward pass takes the same step as 2-D
-GEMMs on ``(B * P_k, m_k r_k)`` and ``(B * P_k, r_{k-1} n_k)`` views. Every
-regrouping between steps is a plain C-order reshape, which is what makes
-the row-major index convention load bearing. :meth:`TTSpec.sweep_shapes`
-holds this schedule, and the forward and backward passes read their shapes
-from it. Cost is O(d r^2 m max(M, N)) per sample instead of O(M N).
+``(B, N)`` it sweeps the cores one at a time, in the direction with fewer
+flops per row (:attr:`TTSpec.right_to_left`, read off the spec alone; ties,
+square maps among them, go left to right). Left to right it carries a
+batched tensor ``z`` of shape ``(B * P_k, r_{k-1} * n_k, Q_k)`` where
+``P_k`` is the product of output modes already consumed and ``Q_k`` the
+product of input modes not yet consumed, and multiplies it by core k as an
+``(m_k * r_k, r_{k-1} * n_k)`` matrix. Right to left is the mirror image:
+from core d down to core 1 it carries ``(B * n_1...n_{k-1}, n_k * r_k,
+m_{k+1}...m_d)`` and multiplies by core k as an ``(r_{k-1} * m_k, n_k *
+r_k)`` matrix. Either way each step is one batched matmul, except where
+blocks have one column (``Q_k = 1``; the last step left to right, the first
+right to left): there the stack of matvecs runs as one 2-D GEMM, and the
+backward pass takes the same step as 2-D GEMMs on ``(rows, height)`` and
+``(rows, width)`` views. Every regrouping between steps is a plain C-order
+reshape, which is what makes the row-major index convention load bearing.
+:meth:`TTSpec.sweep_shapes` holds this schedule, and the forward and
+backward passes read their shapes from it. Cost is O(d r^2 m max(M, N)) per
+sample instead of O(M N).
 
 The backward pass replays the same chain in reverse with the cached ``z``
 inputs, so parameter and input gradients are exact (they are the analytic
-derivatives of the contraction, not an approximation).
+derivatives of the contraction, not an approximation). The direction
+changes only the order of the contraction, so outputs move at rounding
+level, and the cores keep their ``(m, n, r_prev, r_next)`` layout.
 
 Each :class:`TTLinear` owns one workspace for the sweep's step outputs: a
 flat array that lives as long as the map, grows and never shrinks. It holds
-slots; slot t has one region per step with ``Q_k > 1``, of that step's
-output size in :meth:`TTSpec.sweep_shapes`. :meth:`TTLinear.lease` sizes the
-workspace for T slots at batch B and starts a new generation.
+slots; slot t has one region per step but the last, of that step's output
+size in :meth:`TTSpec.sweep_shapes`. :meth:`TTLinear.lease` sizes the
+workspace for T slots at batch B, computes the schedule that the lease's
+sweeps read, and starts a new generation.
 ``forward_cached(x, slot)`` sweeps into a slot of the current lease; a bare
 ``forward_cached(x)`` (and so ``forward``) leases one slot at ``x``'s batch
 and sweeps into slot 0. Every cache holds views into the workspace stamped
@@ -46,8 +55,8 @@ for small maps it pays to build the matrix once. :func:`execution_plan`
 picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
 
 * **sweep**: a :class:`SweepView`, which leases T slots of the map's
-  workspace at the unroll's batch and runs step t's sweep into slot t
-  (for inference, the map itself, each step leasing slot 0);
+  workspace at the unroll's batch and runs its t-th sweep into slot t
+  (for inference, the map itself, each sweep leasing slot 0);
 * **dense**: a :class:`DenseView`, which runs the map's own sweep once on
   the identity to get ``W.T``, then costs one matmul per step, accumulates
   ``dW.T`` over the steps and projects it onto the core gradients with one
@@ -213,9 +222,17 @@ class DenseLinear(LinearMap):
 
 
 def _slot_size(shapes) -> int:
-    """Floats in one workspace slot: the outputs of the sweep steps with
-    ``Q_k > 1`` in the schedule ``shapes``."""
-    return sum(rows * height * cols for rows, height, _, cols in shapes if cols > 1)
+    """Floats in one workspace slot: the outputs of every step but the last
+    in the schedule ``shapes``."""
+    return sum(rows * height * cols for rows, height, _, cols in shapes[:-1])
+
+
+# By direction (TTSpec.right_to_left): the core (m, n, r_prev, r_next) axes
+# in the order its sweep-step matrix enumerates them, rows then columns, and
+# the permutation back. Left to right the matrix is (m_k r_k, r_{k-1} n_k),
+# right to left (r_{k-1} m_k, n_k r_k).
+_MATRIX_AXES = {False: ((0, 3, 2, 1), (0, 3, 2, 1)),
+                True: ((2, 0, 1, 3), (1, 2, 0, 3))}
 
 
 class TTLinear(LinearMap):
@@ -229,7 +246,7 @@ class TTLinear(LinearMap):
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
         self.workspace = np.empty(0)  # the step outputs of leased sweeps
-        self._leased = (0, 0)  # (slots, batch) of the current lease
+        self._leased = (0, 0, [])  # (slots, batch, schedule) of the current lease
         self._generation = 0  # bumped by every lease
 
     @classmethod
@@ -239,34 +256,33 @@ class TTLinear(LinearMap):
         return cls(tt, np.zeros(spec.out_dim) if bias else None)
 
     def _core_matrices(self):
-        # Core k as a (m_k r_k, r_{k-1} n_k) matrix: rows enumerate (m_k, r_k),
-        # columns enumerate (r_{k-1}, n_k), both row-major.
-        return [
-            np.ascontiguousarray(
-                g.transpose(0, 3, 2, 1).reshape(g.shape[0] * g.shape[3],
-                                                g.shape[2] * g.shape[1])
-            )
-            for g in self.tt.cores
-        ]
+        # Each step's core as its (height, width) matrix, in sweep order.
+        spec = self.tt.spec
+        axes = _MATRIX_AXES[spec.right_to_left][0]
+        mats = []
+        for k in spec.sweep_order():
+            g = self.tt.cores[k]
+            rows = g.shape[axes[0]] * g.shape[axes[1]]
+            mats.append(np.ascontiguousarray(g.transpose(axes).reshape(rows, -1)))
+        return mats
 
-    def _sweep(self, x, mats, outs):
-        """The core sweep on checked ``x``: returns ``(y, z_inputs)``, the
-        output and each step's input. The steps write into ``outs``, a
-        workspace slot from :meth:`_slot`; the steps with ``Q_k = 1`` (the
-        last always is one) return fresh arrays."""
-        b = x.shape[0]
+    def _sweep(self, x, mats, shapes, outs):
+        """The core sweep on checked ``x`` over the schedule ``shapes``:
+        returns ``(y, z_inputs)``, the output and each step's input. Every
+        step but the last writes into ``outs``, a workspace slot from
+        :meth:`_slot`; the last (``None`` there) returns a fresh array."""
         z = x
         z_inputs = []
-        shapes = self.tt.spec.sweep_shapes(b)
-        for k, (mat, (rows, _, width, cols)) in enumerate(zip(mats, shapes)):
+        for mat, (rows, _, width, cols), out in zip(mats, shapes, outs):
             z = z.reshape(rows, width, cols)
             z_inputs.append(z)
             if cols == 1:
                 # One column per block: the stack of matvecs is one 2-D GEMM.
-                z = z[:, :, 0] @ mat.T
+                z = np.matmul(z[:, :, 0], mat.T,
+                              out=None if out is None else out[:, :, 0])
             else:
-                z = np.matmul(mat, z, out=outs[k])
-        y = z.reshape(b, self.out_dim)
+                z = np.matmul(mat, z, out=out)
+        y = z.reshape(x.shape[0], self.out_dim)
         if self.bias is not None:
             y = y + self.bias
         return y, z_inputs
@@ -275,27 +291,25 @@ class TTLinear(LinearMap):
         """Make room in the workspace for ``slots`` sweeps of ``batch`` rows
         and start a new generation, which makes every cache held in the
         workspace stale. Returns the generation."""
-        need = slots * _slot_size(self.tt.spec.sweep_shapes(batch))
+        shapes = self.tt.spec.sweep_shapes(batch)
+        need = slots * _slot_size(shapes)
         if self.workspace.size < need:
             self.workspace = np.empty(need)
-        self._leased = (slots, batch)
+        self._leased = (slots, batch, shapes)
         self._generation += 1
         return self._generation
 
-    def _slot(self, slot: int, batch: int) -> list:
-        """Slot ``slot``'s step outputs: views into the workspace for the
-        steps with ``Q_k > 1``, None for the rest."""
-        shapes = self.tt.spec.sweep_shapes(batch)
+    def _slot(self, slot: int, shapes) -> list:
+        """Slot ``slot``'s step outputs for the lease's schedule ``shapes``:
+        views into the workspace for every step but the last, None for the
+        last."""
         start = slot * _slot_size(shapes)
         outs = []
-        for rows, height, _, cols in shapes:
-            if cols == 1:
-                outs.append(None)
-                continue
+        for rows, height, _, cols in shapes[:-1]:
             size = rows * height * cols
             outs.append(self.workspace[start:start + size].reshape(rows, height, cols))
             start += size
-        return outs
+        return outs + [None]
 
     def forward_cached(self, x, slot=None):
         """``(y, cache)``. The steps write into ``slot``, one of the current
@@ -307,12 +321,12 @@ class TTLinear(LinearMap):
         if slot is None:
             slot = 0
             self.lease(1, x.shape[0])
-        slots, batch = self._leased
+        slots, batch, shapes = self._leased
         if not 0 <= slot < slots or x.shape[0] != batch:
             raise ShapeError(f"slot {slot} at batch {x.shape[0]} is outside the "
                              f"lease of {slots} slots at batch {batch}")
         mats = self._core_matrices()
-        y, z_inputs = self._sweep(x, mats, self._slot(slot, batch))
+        y, z_inputs = self._sweep(x, mats, shapes, self._slot(slot, shapes))
         return y, (mats, z_inputs, batch, self._generation)
 
     def backward(self, grad_out, cache):
@@ -328,21 +342,23 @@ class TTLinear(LinearMap):
                              "(by a later unroll or forward) since it was made")
         if self.grad_bias is not None:
             self.grad_bias += grad_out.sum(axis=0)
-        shapes = spec.sweep_shapes(b)
+        shapes = self._leased[2]  # the cache's own lease, as checked above
+        axes, back = _MATRIX_AXES[spec.right_to_left]
         dz = grad_out
-        for k in range(spec.ndim - 1, -1, -1):
-            # Gradient wrt step k's output, shaped like that output.
-            rows, height, _, cols = shapes[k]
-            m, n, r_prev, r_next = spec.core_shape(k)
+        for step, k in reversed(list(enumerate(spec.sweep_order()))):
+            # Gradient wrt the step's output, shaped like that output.
+            rows, height, _, cols = shapes[step]
+            core_shape = spec.core_shape(k)
             if cols == 1:
                 dout = dz.reshape(rows, height)
-                dmat = dout.T @ z_inputs[k][:, :, 0]
-                dz = dout @ mats[k]
+                dmat = dout.T @ z_inputs[step][:, :, 0]
+                dz = dout @ mats[step]
             else:
                 dout = dz.reshape(rows, height, cols)
-                dmat = np.tensordot(dout, z_inputs[k], axes=((0, 2), (0, 2)))
-                dz = np.matmul(mats[k].T, dout)
-            self.grad_cores[k] += dmat.reshape(m, r_next, r_prev, n).transpose(0, 3, 2, 1)
+                dmat = np.tensordot(dout, z_inputs[step], axes=((0, 2), (0, 2)))
+                dz = np.matmul(mats[step].T, dout)
+            dmat = dmat.reshape([core_shape[a] for a in axes])
+            self.grad_cores[k] += dmat.transpose(back)
         return dz.reshape(b, self.in_dim)
 
     def parts(self):
@@ -360,8 +376,8 @@ def takes_dense_plan(spec: TTSpec) -> bool:
     ``M * N <= spec.flops_per_row()``.
 
     Per row the dense plan's matmul costs ``2 M N`` flops and the sweep
-    ``F = flops_per_row()``, so the rule admits dense plans of up to twice
-    the sweep's flops. Maps that small are bound by per-call overhead (d
+    ``F = flops_per_row()``, in the sweep's own direction, so the rule
+    admits dense plans of up to twice the sweep's flops. Maps that small are bound by per-call overhead (d
     batched matmuls and their reshapes against one matmul), and the cap
     keeps ``W.T`` and its gradient small; large maps keep the sweep.
     """

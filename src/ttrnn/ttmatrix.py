@@ -13,6 +13,7 @@ Storage is ``sum_k m_k n_k r_{k-1} r_k`` floats instead of ``M * N``.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -92,29 +93,57 @@ class TTSpec:
         """Floats a plain dense matrix of the same shape would store."""
         return self.out_dim * self.in_dim
 
-    def sweep_shapes(self, batch: int) -> list[tuple[int, int, int, int]]:
-        """The core sweep's schedule on ``batch`` input rows.
+    @functools.cached_property
+    def right_to_left(self) -> bool:
+        """The sweep direction: right to left iff that costs fewer flops per
+        row than left to right (ties, square maps among them, stay left to
+        right). The cores are the same either way; only the order in which
+        the sweep contracts them changes."""
+        def cost(rtl):
+            return sum(math.prod(s) for s in self._schedule(1, rtl))
+        return cost(True) < cost(False)
 
-        Entry k is ``(B P_k, m_k r_k, r_{k-1} n_k, Q_k)``: step k multiplies
-        core k, as an ``(m_k r_k, r_{k-1} n_k)`` matrix, into a stack of
-        ``B P_k`` blocks ``(r_{k-1} n_k, Q_k)`` and yields blocks
-        ``(m_k r_k, Q_k)``. ``P_k`` is the product of the output modes
-        before core k, ``Q_k`` that of the input modes after it.
-        """
+    def _core_order(self, rtl: bool) -> range:
+        return range(self.ndim - 1, -1, -1) if rtl else range(self.ndim)
+
+    def _schedule(self, batch: int, rtl: bool) -> list[tuple[int, int, int, int]]:
         shapes = []
-        p = batch
-        q = self.in_dim
-        for k in range(self.ndim):
+        for k in self._core_order(rtl):
             m, n, r_prev, r_next = self.core_shape(k)
-            q //= n
-            shapes.append((p, m * r_next, r_prev * n, q))
-            p *= m
+            if rtl:
+                shapes.append((batch * math.prod(self.in_modes[:k]), r_prev * m,
+                               n * r_next, math.prod(self.out_modes[k + 1:])))
+            else:
+                shapes.append((batch * math.prod(self.out_modes[:k]), m * r_next,
+                               r_prev * n, math.prod(self.in_modes[k + 1:])))
         return shapes
+
+    def sweep_order(self) -> range:
+        """The core indices in the order the sweep takes them."""
+        return self._core_order(self.right_to_left)
+
+    def sweep_shapes(self, batch: int) -> list[tuple[int, int, int, int]]:
+        """The core sweep's schedule on ``batch`` input rows, one entry
+        ``(rows, height, width, cols)`` per step in sweep order: the step
+        multiplies its core, as a ``(height, width)`` matrix, into a stack of
+        ``rows`` blocks ``(width, cols)`` and yields blocks
+        ``(height, cols)``.
+
+        Left to right, step k (core k) is ``(B P_k, m_k r_k, r_{k-1} n_k,
+        Q_k)``, where ``P_k`` is the product of the output modes before core
+        k and ``Q_k`` that of the input modes after it. Right to left, the
+        mirror image, step k (core k, from k = d down to 1) is
+        ``(B n_1...n_{k-1}, r_{k-1} m_k, n_k r_k, m_{k+1}...m_d)``. Either
+        way the step's output, read in C order, is the next step's input.
+        :attr:`right_to_left` picks the direction.
+        """
+        return self._schedule(batch, self.right_to_left)
 
     def flops_per_row(self) -> int:
         """Multiply-adds (counted as 2 flops) of the forward core sweep per
-        input row: ``sum_k 2 P_k m_k r_k r_{k-1} n_k Q_k`` over
-        :meth:`sweep_shapes`."""
+        input row: ``2 * rows * height * width * cols`` summed over
+        :meth:`sweep_shapes`, so the cost of the direction the sweep
+        takes."""
         return sum(2 * math.prod(s) for s in self.sweep_shapes(1))
 
 

@@ -38,13 +38,15 @@ def force_plan(monkeypatch, plan):
     monkeypatch.setattr(linear, "takes_dense_plan", lambda spec: plan == "dense")
 
 
-def check_unroll_against_finite_differences(cell):
+def check_unroll_against_finite_differences(cell, first_masked=False):
     rng = np.random.default_rng(9)
     steps, batch = 4, 3
     x_seq = rng.standard_normal((steps, batch, cell.input_dim))
     mask = np.ones((steps, batch))
     mask[2, 1] = 0.0  # one padded step mid-sequence
     mask[3, 2] = 0.0
+    if first_masked:  # a row whose first step, the zero-state one, is padding
+        mask[0, 0] = 0.0
     proj_seq = rng.standard_normal((steps, batch, cell.hidden_dim))
     proj_last = rng.standard_normal((batch, cell.hidden_dim))
 
@@ -125,6 +127,13 @@ class TestBPTTGradients:
         force_plan(monkeypatch, plan)
         check_unroll_against_finite_differences(factory(seed=7))
 
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", ALL_CELLS, ids=lambda f: f.__name__)
+    def test_first_step_masked_matches_finite_differences(
+            self, factory, plan, monkeypatch):
+        force_plan(monkeypatch, plan)
+        check_unroll_against_finite_differences(factory(seed=8), first_masked=True)
+
     @pytest.mark.parametrize("factory", [dense_srnn, dense_gru],
                              ids=lambda f: f.__name__)
     def test_last_state_only_gradient(self, factory):
@@ -204,6 +213,105 @@ class TestMaskSemantics:
         assert list(g_ones) == list(g_none)
         for name in g_none:
             np.testing.assert_array_equal(g_ones[name], g_none[name], err_msg=name)
+
+
+def stepwise(cell, x_seq, mask, proj_seq):
+    """Unroll and BPTT one ``Cell.step`` at a time from an explicit zero
+    state, so step 0 runs every map: the computation without the zero-state
+    skip. Needs a cell of dense maps, whose caches never go stale."""
+    steps, batch = x_seq.shape[:2]
+    keep = np.ones((steps, batch, 1)) if mask is None else mask[:, :, None]
+    h = np.zeros((batch, cell.hidden_dim))
+    h_seq, caches = [], []
+    for t in range(steps):
+        h_new, cache = cell.step(x_seq[t], h)
+        h = keep[t] * h_new + (1.0 - keep[t]) * h
+        h_seq.append(h)
+        caches.append(cache)
+    cell.zero_grads()
+    grad_x = np.empty_like(x_seq)
+    carry = 0.0
+    for t in range(steps - 1, -1, -1):
+        g = proj_seq[t] + carry
+        grad_x[t], dh = cell._step_backward(cell.named_maps(), keep[t] * g,
+                                            caches[t])
+        carry = dh + (1.0 - keep[t]) * g
+    return np.array(h_seq), grad_x, {k: v.copy() for k, v in cell.grads().items()}
+
+
+class TestZeroStateStep:
+    """Step 0 runs from h_0 = 0 and skips the work that makes exact zeros:
+    an SRNN's wh, a GRU's wh maps and its reset gate."""
+
+    @pytest.mark.parametrize("masking", ["none", "mid", "first-step", "second-step"])
+    @pytest.mark.parametrize("factory", [dense_srnn, dense_gru],
+                             ids=lambda f: f.__name__)
+    def test_skip_equals_the_full_step(self, factory, masking):
+        cell = factory(seed=4)
+        rng = np.random.default_rng(12)
+        for b in cell.named_arrays().values():
+            b[...] = rng.standard_normal(b.shape)
+        x_seq = rng.standard_normal((4, 3, cell.input_dim))
+        proj_seq = rng.standard_normal((4, 3, cell.hidden_dim))
+        mask = None if masking == "none" else np.ones((4, 3))
+        if masking == "mid":
+            mask[2, 1] = 0.0
+        elif masking == "first-step":
+            mask[0, :2] = 0.0
+        elif masking == "second-step":  # its carry is the last bptt adds
+            mask[1, 2] = 0.0
+        want = stepwise(cell, x_seq, mask, proj_seq)
+        h_seq, caches = unroll(cell, x_seq, mask=mask)
+        cell.zero_grads()
+        grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
+        # assert_array_equal holds 0.0 == -0.0: equal up to the sign of zeros.
+        np.testing.assert_array_equal(h_seq, want[0])
+        np.testing.assert_array_equal(grad_x, want[1])
+        for name, g in cell.grads().items():
+            np.testing.assert_array_equal(g, want[2][name], err_msg=name)
+        np.testing.assert_array_equal(_unroll(cell, x_seq, mask, cached=False)[0],
+                                      h_seq)
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_step_zero_runs_no_hidden_map(self, factory, plan, monkeypatch):
+        force_plan(monkeypatch, plan)
+        cell = factory(seed=2)
+        calls = []
+        # A step runs its maps through the plan's views: count their calls.
+        real_plan = linear.execution_plan
+
+        def counted_plan(maps, steps, batch, cached):
+            plan_maps = real_plan(maps, steps, batch, cached)
+            for name, view in plan_maps.items():
+                for attr in ("forward_cached", "backward"):
+                    def recorded(*args, _fn=getattr(view, attr), _key=(name, attr)):
+                        calls.append(_key)
+                        return _fn(*args)
+                    setattr(view, attr, recorded)
+            return plan_maps
+
+        monkeypatch.setattr("ttrnn.cells.execution_plan", counted_plan)
+        x_seq = np.random.default_rng(0).standard_normal((1, 2, cell.input_dim))
+        _, caches = unroll(cell, x_seq)
+        bptt(cell, caches, grad_h_last=np.ones((2, cell.hidden_dim)))
+        ran = {name for name, attr in calls if attr == "forward_cached"}
+        assert ran == set(RUNS_FROM_ZERO[cell.kind])
+        assert {name for name, attr in calls if attr == "backward"} == ran
+        skipped = set(cell.named_maps()) - ran
+        for name in skipped:
+            for g in cell.named_maps()[name].grads().values():
+                assert not g.any(), name
+
+
+# The maps a step from the zero state runs; the others run T - 1 times.
+RUNS_FROM_ZERO = {"srnn": ("wx",), "gru": ("wxz", "wxh")}
+
+
+def runs_per_unroll(cell, steps):
+    """How often an unroll of ``steps`` steps runs each TT map."""
+    return {name: steps - (name not in RUNS_FROM_ZERO[cell.kind])
+            for name, m in cell.named_maps().items() if isinstance(m, TTLinear)}
 
 
 class TestConstruction:
@@ -364,6 +472,8 @@ class TestExecutionPlans:
         assert TTSpec.with_rank((7,), (5,), 1).flops_per_row() == 2 * 35
 
     @pytest.mark.parametrize("out_modes, in_modes, rank, plan", [
+        # Every shipped map's plan, read with F as the cost of the sweep's own
+        # direction (tests/test_ttmatrix.py pins each direction).
         # mnist-row-ttgru: wx and wh of the TT-GRU-100.
         ((10, 10), (4, 8), 3, "dense"),
         ((10, 10), (10, 10), 3, "dense"),
@@ -450,19 +560,26 @@ class TestSweepWorkspace:
                 return out
             monkeypatch.setattr(TTLinear, attr, recorded)
         cell = factory(seed=2)
+        # wx sweeps right to left, so its first step (Q = 1) writes into the
+        # workspace too.
+        assert cell.named_maps()["wx" if cell.kind == "srnn" else "wxh"].tt.spec.right_to_left
         x_seq, mask, proj_seq = masked_inputs(cell)
         h_seq, caches = unroll(cell, x_seq, mask=mask)
         grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
         h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
-        calls = x_seq.shape[0] * len(tt_maps(cell))
-        # forward_cached runs once per step and map in training, once in
-        # inference.
+        names = {id(m): name for name, m in cell.named_maps().items()}
+        runs = runs_per_unroll(cell, x_seq.shape[0])
+        # forward_cached runs once per run of a map in training, once in
+        # inference; the step from the zero state skips the hidden maps and
+        # the GRU's wxr.
         for attr, times in (("forward_cached", 2), ("backward", 1)):
             seen = returned[attr]
-            assert len(seen) == times * calls, attr
+            counts = {name: 0 for name in runs}
             for layer, out in seen:
+                counts[names[id(layer)]] += 1
                 assert layer.workspace.size > 0
                 assert not np.shares_memory(out, layer.workspace), attr
+            assert counts == {name: times * n for name, n in runs.items()}, attr
         for out in (h_seq, grad_x, h_inf):
             for layer in tt_maps(cell):
                 assert not np.shares_memory(out, layer.workspace)
@@ -522,9 +639,31 @@ class TestSweepWorkspace:
         steps, batch = x_seq.shape[:2]
         h_inf, (_, step_caches, _, _) = _unroll(cell, x_seq, mask, cached=False)
         assert step_caches == []
-        assert len(leases) == steps * len(tt_maps(cell))
+        # One lease per run of a map: T - 1 for the maps step 0 skips.
+        assert len(leases) == sum(runs_per_unroll(cell, steps).values())
         assert all(lease[1:] == (1, batch) for lease in leases)
         leases.clear()
         h_seq, _ = unroll(cell, x_seq, mask=mask)
         assert [lease[1:] for lease in leases] == [(steps, batch)] * len(tt_maps(cell))
         np.testing.assert_array_equal(h_inf, h_seq)
+
+    def test_right_to_left_first_step_writes_into_the_slot(self):
+        # tt_srnn's wx (3x2 by 2x3) sweeps core 1 first; that step has one
+        # column per block (Q = 1), yet only the last step's output is fresh.
+        wx = tt_srnn(seed=1).wx
+        assert wx.tt.spec.right_to_left
+        shapes = wx.tt.spec.sweep_shapes(3)
+        assert shapes[0][3] == 1 and shapes[-1][3] > 1
+        x = np.random.default_rng(0).standard_normal((3, wx.in_dim))
+        wx.lease(2, 3)
+        y, cache = wx.forward_cached(x, 1)
+        _, z_inputs, _, _ = cache
+        size = linear._slot_size(shapes)
+        slot = wx.workspace[size:2 * size]
+        assert not np.shares_memory(z_inputs[0], wx.workspace)  # x itself
+        assert np.shares_memory(z_inputs[1], slot)  # step 0's output
+        assert not np.shares_memory(y, wx.workspace)
+        dx = wx.backward(np.ones((3, wx.out_dim)), cache)
+        assert not np.shares_memory(dx, wx.workspace)
+        np.testing.assert_allclose(y, x @ wx.tt.to_dense().T, rtol=1e-13, atol=1e-15)
+

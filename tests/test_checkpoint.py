@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ttrnn.checkpoint import (
     save_checkpoint,
 )
 from ttrnn.errors import FormatError, ShapeError
+from ttrnn.linear import TTLinear
 from ttrnn.models import build_classifier, build_predictor
 from ttrnn.optim import Adam
 from synthdata import write_array_record_checkpoint, write_one_record_checkpoint
@@ -296,3 +299,52 @@ class TestAtomicWrite:
         load_into_model(read_checkpoint(path), restored)
         assert params_equal(restored, tt_classifier(seed=0))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ttcp"]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def load_fixture_module():
+    spec = importlib.util.spec_from_file_location(
+        "make_parent_fixtures", DATA / "make_parent_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tt_maps(model):
+    return [m for m in model.named_maps().values() if isinstance(m, TTLinear)]
+
+
+class TestParentCheckpoints:
+    """Checkpoints written before sweep directions and the zero-state step
+    (see ``tests/data/make_parent_fixtures.py``) load, evaluate and train
+    to within rounding of what their writer computed."""
+
+    @pytest.mark.parametrize("name", ["gru-sweep", "srnn-dense"])
+    def test_loads_and_evaluates_within_rounding(self, name, tmp_path):
+        fixtures = load_fixture_module()
+        path = DATA / f"{name}.ttcp"
+        model = fixtures.build(name, 0)
+        load_checkpoint(path, model)
+        assert any(m.tt.spec.right_to_left for m in tt_maps(model))
+        # The TTM1 records keep the (m, n, r_prev, r_next) core layout:
+        # saving the loaded model writes the same bytes.
+        again = tmp_path / "again.ttcp"
+        save_checkpoint(again, model)
+        assert again.read_bytes() == path.read_bytes()
+        want = np.load(DATA / f"{name}.npz")
+
+        def assert_within_rounding(got, key):
+            # Relative to the array's largest entry; measured <= 1.9e-15.
+            bound = 1e-13 * np.abs(want[key]).max()
+            np.testing.assert_allclose(got, want[key], rtol=0, atol=bound,
+                                       err_msg=key)
+
+        x_seq, mask, targets = fixtures.batch(name)
+        assert_within_rounding(model.forward(x_seq, mask), "forward")
+        model.zero_grads()
+        loss, _ = model.loss_and_grads(x_seq, mask, targets)
+        assert_within_rounding(loss, "loss")
+        for key, g in model.grads().items():
+            assert_within_rounding(g, f"grad:{key}")

@@ -323,6 +323,9 @@ class TestInspectCommand:
                  if ln.startswith("map:cell.")]
         assert len(lines) == 2
         assert all(ln.endswith(" plan sweep") for ln in lines)
+        # The non-square wx sweeps right to left, the square wh left to right.
+        assert [ln.split(":")[1] for ln in lines if " order rtl " in ln] == ["cell.wx"]
+        assert [ln.split(":")[1] for ln in lines if " order ltr " in ln] == ["cell.wh"]
         # ... and the mnist-row-ttgru cell's maps are materialized.
         fields = mnist_fields(tmp_path, model="gru", parameterization="tt",
                               hidden=100, hidden_modes="10x10", input_modes="4x8",
@@ -333,8 +336,9 @@ class TestInspectCommand:
         assert main(["inspect", str(tmp_path / "run" / "best.ttcp")]) == 0
         out = capsys.readouterr().out
         assert ("map:cell.whh: tt modes 10x10 by 10x10 ranks 1-3-1 params 600 "
-                "plan dense") in out
+                "order ltr plan dense") in out
         assert sum(ln.endswith(" plan dense") for ln in out.splitlines()) == 6
+        assert sum(ln.endswith(" order rtl plan dense") for ln in out.splitlines()) == 3
 
     def test_dense_ratio_is_one(self, tmp_path, capsys):
         fields = mnist_fields(tmp_path, epochs=0)
@@ -398,7 +402,7 @@ class TestInspectCommand:
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert ("map:cell.wx: tt modes 8x4x8x4 by 4x4x4x4 ranks 1-5-5-5-1 "
-                "params 1440 plan sweep") in out
+                "params 1440 order rtl plan sweep") in out
         assert "config hash" not in out and "cell params" not in out
 
     def test_corrupt_checkpoint_is_exit_2(self, tmp_path, capsys):

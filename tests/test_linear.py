@@ -17,12 +17,17 @@ def make_tt_layer(out_modes, in_modes, ranks, seed=0, bias=True):
     return layer
 
 
+# Each spec's sweep direction (TTSpec.right_to_left) is in the comment; a
+# one-core map always ties, and ties sweep left to right.
 SPECS = [
-    ((2, 3), (4, 5), (1, 2, 1)),
-    ((3, 4, 2), (2, 5, 3), (1, 2, 3, 1)),
-    ((6,), (4,), (1, 1)),
-    ((2, 2, 2, 2), (3, 2, 2, 3), (1, 2, 4, 2, 1)),
-    ((5, 4), (4, 5), (1, 1, 1)),
+    ((2, 3), (4, 5), (1, 2, 1)),  # left to right
+    ((3, 4, 2), (2, 5, 3), (1, 2, 3, 1)),  # right to left
+    ((6,), (4,), (1, 1)),  # tie (d = 1)
+    ((2, 2, 2, 2), (3, 2, 2, 3), (1, 2, 4, 2, 1)),  # left to right
+    ((5, 4), (4, 5), (1, 1, 1)),  # right to left
+    ((4, 5), (2, 3), (1, 2, 1)),  # right to left
+    ((4, 3, 2, 3), (2, 2, 3, 2), (1, 3, 2, 4, 1)),  # right to left
+    ((2, 2, 3), (2, 3, 3), (1, 3, 2, 1)),  # tie, not square
 ]
 
 
@@ -79,7 +84,7 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("out_m,in_m,ranks", SPECS[:4])
+    @pytest.mark.parametrize("out_m,in_m,ranks", SPECS)
     def test_tt_grads_match_finite_differences(self, out_m, in_m, ranks):
         # At batch 1 the last core step's 2-D GEMMs have only P_d rows;
         # with d = 1 that step is also the first.

@@ -67,6 +67,45 @@ class TestSpec:
         assert spec.sweep_shapes(3) == [(3, 4, 4, 5), (6, 3, 10, 1)]
         assert TTSpec((7,), (5,), (1, 1)).sweep_shapes(2) == [(2, 7, 5, 1)]
 
+    def test_sweep_shapes_right_to_left(self):
+        # The transposed shape sweeps right to left, core 1 first: step k is
+        # (B n_1..n_{k-1}, r_{k-1} m_k, n_k r_k, m_{k+1}..m_d) at B = 3.
+        spec = TTSpec((4, 5), (2, 3), (1, 2, 1))
+        assert spec.right_to_left
+        assert list(spec.sweep_order()) == [1, 0]
+        assert spec.sweep_shapes(3) == [(6, 10, 3, 1), (3, 4, 4, 5)]
+        # Left to right it would cost 2 * (48 + 120) = 336 per row.
+        assert spec.flops_per_row() == 2 * (60 + 80)
+        spec = TTSpec((4, 3, 2, 3), (2, 2, 3, 2), (1, 3, 2, 4, 1))
+        assert spec.sweep_shapes(1) == [(12, 12, 2, 1), (4, 4, 12, 3),
+                                        (2, 9, 4, 6), (1, 4, 6, 18)]
+
+    @pytest.mark.parametrize("out_modes, in_modes, ranks, rtl, flops", [
+        # Every shipped non-square wx sweeps right to left; square maps tie.
+        # The wide TT-SRNN's wx (819,200 flops per row left to right) and
+        # its wh.
+        ((16, 16, 16), (4, 8, 8), (1, 4, 4, 1), True, 425_984),
+        ((16, 16, 16), (16, 16, 16), (1, 4, 4, 1), False, 3_145_728),
+        # inspect-demo's wx (368,640 left to right).
+        ((8, 4, 8, 4), (4, 4, 4, 4), (1, 5, 5, 5, 1), True, 256_000),
+        # mnist-row-ttgru's wx* and wh* (6,720 left to right for wx*).
+        ((10, 10), (4, 8), (1, 3, 1), True, 4_320),
+        ((10, 10), (10, 10), (1, 3, 1), False, 12_000),
+        # pianoroll-ttsrnn's wx (6,144 left to right) and wh.
+        ((8, 8), (4, 8), (1, 4, 1), True, 4_096),
+        ((8, 8), (8, 8), (1, 4, 1), False, 8_192),
+        # The same cost either way keeps the left-to-right sweep.
+        ((2, 2, 3), (2, 3, 3), (1, 3, 2, 1), False, 792),
+        ((7,), (5,), (1, 1), False, 70),
+    ])
+    def test_direction_is_the_cheaper_sweep(self, out_modes, in_modes, ranks,
+                                            rtl, flops):
+        spec = TTSpec(out_modes, in_modes, ranks)
+        assert spec.right_to_left == rtl
+        assert spec.flops_per_row() == flops
+        order = list(range(spec.ndim))
+        assert list(spec.sweep_order()) == (order[::-1] if rtl else order)
+
     def test_validation(self):
         with pytest.raises(ShapeError):
             TTSpec((2, 3), (4,), (1, 1))  # length mismatch
