@@ -20,7 +20,7 @@ from .errors import (
     SizeError,
     TTRNNError,
 )
-from .indexing import linear_to_multi, multi_to_linear
+from .indexing import linear_to_multi
 from .linear import DenseLinear, LinearMap, TTLinear
 from .models import (
     SequenceClassifier,
@@ -36,14 +36,12 @@ from .tasks import (
     ModelReport,
     bernoulli_frame_nll,
     cell_param_count,
-    classification_accuracy,
     compression_ratio,
-    frame_accuracy,
     frame_counts,
     gate_param_count,
     softmax_cross_entropy,
 )
-from .ttmatrix import DENSE_CAP, TTMatrix, TTSpec, read_ttmatrix, write_ttmatrix
+from .ttmatrix import DENSE_CAP, TTMatrix, TTSpec, write_ttmatrix
 
 __version__ = "0.1.0"
 
@@ -76,10 +74,8 @@ __all__ = [
     "build_classifier",
     "build_predictor",
     "cell_param_count",
-    "classification_accuracy",
     "clip_global_norm",
     "compression_ratio",
-    "frame_accuracy",
     "frame_counts",
     "gate_param_count",
     "global_norm",
@@ -90,10 +86,8 @@ __all__ = [
     "make_cell",
     "make_map",
     "model_report",
-    "multi_to_linear",
     "parse_kv",
     "read_checkpoint",
-    "read_ttmatrix",
     "save_checkpoint",
     "softmax_cross_entropy",
     "unroll",

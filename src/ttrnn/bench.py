@@ -134,15 +134,21 @@ def measure_tt(size_m: int, size_n: int, rank: int, max_mode: int, batch: int,
                       tt_work_bytes(spec, batch))
 
 
-def measure_dense(size_m: int, size_n: int, batch: int,
-                  rng: np.random.Generator, reps: int = MIN_REPS,
-                  warmups: int = MIN_WARMUPS) -> BenchPoint:
-    need = 2 * 8 * size_m * size_n  # weight + its gradient
+def check_dense_budget(size_m: int, size_n: int) -> None:
+    """SizeError unless a dense ``size_m x size_n`` weight plus its gradient
+    fits in ``DENSE_BUDGET_BYTES``."""
+    need = 2 * 8 * size_m * size_n
     if need > DENSE_BUDGET_BYTES:
         raise SizeError(
             f"dense {size_m}x{size_n} needs {need} bytes for weight+grad, "
             f"budget is {DENSE_BUDGET_BYTES}"
         )
+
+
+def measure_dense(size_m: int, size_n: int, batch: int,
+                  rng: np.random.Generator, reps: int = MIN_REPS,
+                  warmups: int = MIN_WARMUPS) -> BenchPoint:
+    check_dense_budget(size_m, size_n)
     # Weight only; the accounting (not a LinearMap) keeps allocation minimal.
     w = rng.standard_normal((size_m, size_n))
     x = rng.standard_normal((batch, size_n))

@@ -10,12 +10,12 @@ together logs, checkpoints, and reports from one run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .bench import MIN_REPS, MIN_WARMUPS
-from .errors import ConfigError
+from .bench import MIN_REPS, MIN_WARMUPS, balanced_modes, check_dense_budget
+from .errors import ConfigError, ShapeError, SizeError
+from .indexing import check_dims
 from .reader import decode
 
 TASKS = ("mnist-row", "mnist-pixel", "mnist-permuted", "pianoroll")
@@ -180,17 +180,27 @@ class TrainConfig(KVConfig):
                 raise ConfigError("tt parameterization needs hidden_modes "
                                   "and input_modes")
             for name in ("hidden_modes", "input_modes"):
-                if min(getattr(self, name)) < 1:
+                modes = getattr(self, name)
+                if min(modes) < 1:
                     raise ConfigError(f"field {name}: every mode must be >= 1")
+                try:
+                    check_dims(modes)
+                except ShapeError as e:
+                    raise ConfigError(f"field {name}: {e}") from None
+            if len(self.input_modes) != len(self.hidden_modes):
+                raise ConfigError(
+                    f"field input_modes: {len(self.input_modes)} modes, but "
+                    f"hidden_modes has {len(self.hidden_modes)}; the lists "
+                    f"must be of equal length")
             if self.rank < 1:
                 raise ConfigError("field rank: must be >= 1 for tt")
-            prod = int(np.prod(self.hidden_modes))
+            prod = math.prod(self.hidden_modes)
             if self.hidden and prod != self.hidden:
                 raise ConfigError(
                     f"field hidden: {self.hidden} does not match hidden_modes "
                     f"product {prod}")
             self.hidden = prod
-            in_prod = int(np.prod(self.input_modes))
+            in_prod = math.prod(self.input_modes)
             if self.cell_input_dim() != in_prod:
                 raise ConfigError(
                     f"field input_modes: product {in_prod} does not match the "
@@ -244,3 +254,16 @@ class BenchConfig(KVConfig):
         if self.reps < MIN_REPS or self.warmups < MIN_WARMUPS:
             raise ConfigError(f"field reps/warmups: protocol floor is "
                               f"{MIN_REPS} reps, {MIN_WARMUPS} warmups")
+        # The sweep's own checks, run here so that no size is timed first.
+        for size in self.sizes:
+            if self.family != "dense":
+                try:
+                    balanced_modes(size, self.max_mode)
+                except ShapeError as e:
+                    field = "max_mode" if self.max_mode < 2 else "sizes"
+                    raise ConfigError(f"field {field}: {e}") from None
+            if self.family != "tt":
+                try:
+                    check_dense_budget(size, size)
+                except SizeError as e:
+                    raise ConfigError(f"field sizes: {e}") from None

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,17 +91,6 @@ def read_idx(images_path, labels_path) -> ImageDataset:
     return ImageDataset(images / 255.0, labels.astype(np.int64))
 
 
-def write_idx(images_path, labels_path, dataset: ImageDataset) -> None:
-    """Inverse of :func:`read_idx`; pixels are rounded back to bytes."""
-    count, rows, cols = dataset.images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(np.rint(dataset.images * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def make_permutation(n: int = 784, seed: int = PERMUTATION_SEED) -> np.ndarray:
     """The shared pixel permutation for the permuted ordering.
 
@@ -149,23 +137,6 @@ def serialize_image(image, mode: str, permutation=None) -> np.ndarray:
         flat = image.reshape(-1)
         perm = _check_permutation(permutation, flat.size)
         return flat[perm].reshape(-1, 1)
-    raise DataError(f"mode must be row|pixel|permuted, got {mode!r}")
-
-
-def deserialize_image(seq, mode: str, shape=(28, 28), permutation=None) -> np.ndarray:
-    """Invert :func:`serialize_image`; every mode is lossless."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if mode == "row":
-        return seq.copy()
-    if mode == "pixel":
-        return seq.reshape(shape)
-    if mode == "permuted":
-        if permutation is None:
-            raise DataError("mode 'permuted' needs the shared permutation")
-        flat = np.empty(seq.size)
-        perm = _check_permutation(permutation, seq.size)
-        flat[perm] = seq.reshape(-1)
-        return flat.reshape(shape)
     raise DataError(f"mode must be row|pixel|permuted, got {mode!r}")
 
 
@@ -231,17 +202,6 @@ def read_pianoroll(path) -> PianoRollDataset:
         raise FormatError(f"{path}:{last_line}: trailing separator ends an "
                           f"empty song")
     return PianoRollDataset(songs)
-
-
-def write_pianoroll(path, dataset: PianoRollDataset) -> None:
-    """Inverse of :func:`read_pianoroll`."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i, seq in enumerate(dataset.sequences):
-            if i:
-                fh.write(SONG_SEPARATOR + "\n")
-            for frame in seq:
-                notes = np.nonzero(frame > 0.5)[0] + NOTE_LOW
-                fh.write(" ".join(str(int(n)) for n in notes) + "\n")
 
 
 @dataclass

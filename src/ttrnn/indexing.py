@@ -39,16 +39,3 @@ def linear_to_multi(p: int, dims) -> tuple[int, ...]:
         rem //= dims[k]
     return tuple(idx)
 
-
-def multi_to_linear(idx, dims) -> int:
-    """Inverse of :func:`linear_to_multi`."""
-    dims = check_dims(dims)
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != len(dims):
-        raise ShapeError(f"multi-index {idx} has wrong length for dims {dims}")
-    p = 0
-    for i, d in zip(idx, dims):
-        if not 1 <= i <= d:
-            raise RangeError(f"multi-index {idx} out of range for dims {dims}")
-        p = p * d + (i - 1)
-    return p + 1

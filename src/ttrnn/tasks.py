@@ -50,12 +50,6 @@ def softmax_cross_entropy(logits, labels):
     return loss, dlogits / batch
 
 
-def classification_accuracy(logits, labels) -> float:
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
 def bernoulli_frame_nll(logits, targets, mask=None):
     """Negative log-likelihood per frame of independent binary outputs.
 
@@ -120,11 +114,6 @@ def pooled_frame_accuracy(counts) -> float:
     tp, fp, fn = (int(c) for c in counts)
     denom = tp + fp + fn
     return 1.0 if denom == 0 else tp / denom
-
-
-def frame_accuracy(logits, targets, mask=None) -> float:
-    """TP / (TP + FP + FN) of one batch, by :func:`pooled_frame_accuracy`."""
-    return pooled_frame_accuracy(frame_counts(logits, targets, mask))
 
 
 def gate_param_count(input_dim: int, hidden_dim: int, in_modes=None,

@@ -166,9 +166,6 @@ class TTMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.spec.out_dim, self.spec.in_dim)
 
-    def param_count(self) -> int:
-        return self.spec.param_count()
-
     @classmethod
     def glorot(cls, spec: TTSpec, rng: np.random.Generator) -> "TTMatrix":
         """Random init matched to the gain of dense Glorot on the full matrix.
@@ -183,10 +180,6 @@ class TTMatrix:
             sigma = math.sqrt(2.0 / (n * r_next + m * r_prev))
             cores.append(rng.normal(0.0, sigma, size=(m, n, r_prev, r_next)))
         return cls(spec, cores)
-
-    @classmethod
-    def zeros(cls, spec: TTSpec) -> "TTMatrix":
-        return cls(spec, [np.zeros(spec.core_shape(k)) for k in range(spec.ndim)])
 
     def element(self, i: int, j: int) -> float:
         """Entry at 1-based ``(i, j)`` via the core slice product."""
@@ -246,15 +239,10 @@ def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:
         fh.write(bias.astype("<f8").tobytes())
 
 
-def read_ttmatrix(fh: io.BufferedIOBase):
-    """Parse the TTM1 layout written by :func:`write_ttmatrix` from the rest
-    of ``fh``. Returns ``(TTMatrix, bias or None)``.
-    """
-    return _parse_ttmatrix(fh.read(), getattr(fh, "name", "TTM1 data"))
-
-
 def _parse_ttmatrix(data, source):
-    """:func:`read_ttmatrix` on the bytes ``data``; errors name ``source``."""
+    """Parse the TTM1 layout written by :func:`write_ttmatrix` from the bytes
+    ``data``; errors name ``source``. Returns ``(TTMatrix, bias or None)``.
+    """
     r = Reader(data, source)
     magic = bytes(r.take(4, "magic"))
     if magic != _MAGIC:

@@ -6,8 +6,32 @@ import struct
 import numpy as np
 
 from ttrnn.checkpoint import KIND_ARRAY, KIND_TTMAP, MAGIC, VERSION
-from ttrnn.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ImageDataset,
-                        PianoRollDataset, write_idx, write_pianoroll)
+from ttrnn.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, NOTE_LOW,
+                        SONG_SEPARATOR, ImageDataset, PianoRollDataset)
+
+
+def write_idx(images_path, labels_path, dataset: ImageDataset) -> None:
+    """The IDX pair ``ttrnn.data.read_idx`` reads back as ``dataset``;
+    pixels are rounded to bytes."""
+    count, rows, cols = dataset.images.shape
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
+        fh.write(np.rint(dataset.images * 255.0).astype(np.uint8).tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
+        fh.write(dataset.labels.astype(np.uint8).tobytes())
+
+
+def write_pianoroll(path, dataset: PianoRollDataset) -> None:
+    """The piano-roll text ``ttrnn.data.read_pianoroll`` reads back as
+    ``dataset``."""
+    with open(path, "w", encoding="ascii") as fh:
+        for i, seq in enumerate(dataset.sequences):
+            if i:
+                fh.write(SONG_SEPARATOR + "\n")
+            for frame in seq:
+                notes = np.nonzero(frame > 0.5)[0] + NOTE_LOW
+                fh.write(" ".join(str(int(n)) for n in notes) + "\n")
 
 
 def striped_images(n: int, seed: int = 0, classes: int = 10) -> ImageDataset:

@@ -28,8 +28,8 @@ from ttrnn.tasks import (
     bernoulli_frame_nll,
     cell_param_count,
     compression_ratio,
-    frame_accuracy,
     frame_counts,
+    pooled_frame_accuracy,
 )
 from ttrnn.train import batch_loss_and_grads, evaluate, parse_runlog, train_run
 from ttrnn.ttmatrix import TTMatrix, TTSpec
@@ -431,8 +431,9 @@ def test_criterion_8_metric_closed_forms():
     targets[0, 1, [3, 10, 40]] = 1.0  # TP x3
     logits[1, 2, 5] = 1.0             # FP
     targets[0, 3, [7, 8]] = 1.0       # FN x2
-    acc = frame_accuracy(logits, targets)
-    counts_ok = frame_counts(logits, targets) == (3, 1, 2)
+    counts = frame_counts(logits, targets)
+    acc = pooled_frame_accuracy(counts)
+    counts_ok = counts == (3, 1, 2)
     acc_err = abs(acc - 0.5)
 
     # Zero logits mean probability one half for each of the 88 notes, so
@@ -445,6 +446,6 @@ def test_criterion_8_metric_closed_forms():
     ok = counts_ok and acc_err <= 1e-12 and nll_err <= 1e-12
     _verdict(8, "metric closed forms", ok,
              f"ACC err {acc_err:.1e}, NLL err {nll_err:.1e}")
-    assert counts_ok, f"counts {frame_counts(logits, targets)} != (3, 1, 2)"
+    assert counts_ok, f"counts {counts} != (3, 1, 2)"
     assert acc_err <= 1e-12
     assert nll_err <= 1e-12

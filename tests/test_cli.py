@@ -72,6 +72,21 @@ class TestUsageAndErrors:
         cfg = write_config(tmp_path / "c.cfg", **mnist_fields(tmp_path))
         assert main(["train", cfg, "--epochs", "-3"]) == 1
 
+    @pytest.mark.parametrize("hidden, modes, field", [
+        (64, ("8x8", "2x2x8"), "input_modes"),
+        (0, ("4294967296x4294967296", "4x8"), "hidden_modes"),
+        (0, ("4294967297x4294967297", "4x8"), "hidden_modes"),
+    ], ids=["unequal-lengths", "product-2^64", "product-above-2^64"])
+    def test_bad_mode_lists_are_config_errors(self, tmp_path, capsys, hidden,
+                                              modes, field):
+        fields = mnist_fields(tmp_path, parameterization="tt", hidden=hidden,
+                              hidden_modes=modes[0], input_modes=modes[1],
+                              rank=2, proj=32)
+        assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: field {field}: ") and out == ""
+        assert not (tmp_path / "run" / "config.resolved").exists()
+
     @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
                                       (0, 2 ** 32 - 1, 2 ** 32 - 1)],
                              ids=["pixel-bytes", "no-images"])
@@ -488,6 +503,17 @@ class TestBenchCommand:
     def test_protocol_floor_enforced(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.cfg", sizes="64", reps=5)
         assert main(["bench", cfg]) == 1
+
+    @pytest.mark.parametrize("fields", [
+        {"family": "tt", "sizes": "64,1031"},
+        {"family": "both", "sizes": "64", "max_mode": "1"},
+        {"family": "both", "sizes": "64,16384"},
+    ], ids=["prime-above-max-mode", "max-mode-below-2", "dense-over-budget"])
+    def test_bad_grid_fails_before_any_timing(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path / "b.cfg", batch=2, **fields)
+        assert main(["bench", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: field ") and out == ""
 
     def test_unknown_bench_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.cfg", sizzes="64")

@@ -100,6 +100,22 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="hidden"):
             TrainConfig.from_dict({"hidden_modes": "8x4x8x4"})  # hidden still 100
 
+    def test_mode_lists_must_have_equal_length(self):
+        # Both products check out (64 and the cell input width 32).
+        with pytest.raises(ConfigError, match="field input_modes: 3 modes, but "
+                                              "hidden_modes has 2"):
+            TrainConfig.from_dict({"hidden": "64", "hidden_modes": "8x8",
+                                   "input_modes": "2x2x8"})
+
+    @pytest.mark.parametrize("hidden", ["0", "100"])
+    @pytest.mark.parametrize("modes", ["4294967296x4294967296",
+                                       "4294967297x4294967297"])
+    def test_mode_product_must_fit_64_bits(self, modes, hidden):
+        # Both products reach 2^64, where a fixed-width product wraps.
+        with pytest.raises(ConfigError, match="field hidden_modes: product of "
+                                              "mode dims .* overflows 64 bits"):
+            TrainConfig.from_dict({"hidden": hidden, "hidden_modes": modes})
+
     def test_hidden_zero_means_derive_from_modes(self):
         cfg = TrainConfig.from_dict({"hidden": "0", "hidden_modes": "8x4x8x4",
                                      "input_modes": "4x4x4x4", "proj": "256"})
@@ -182,6 +198,34 @@ def test_bench_digest_is_of_resolved_values():
     b = BenchConfig.from_dict({"sizes": "64x128", "rank": "4"})
     assert a.digest() == b.digest()
     assert BenchConfig.from_dict({"sizes": "64"}).digest() != a.digest()
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("family", ["tt", "both"])
+    def test_tt_sizes_must_factor_under_max_mode(self, family):
+        with pytest.raises(ConfigError, match="field sizes: 1031 has a prime "
+                                              "factor above max_mode 16"):
+            BenchConfig.from_dict({"family": family, "sizes": "64,1031"})
+        with pytest.raises(ConfigError, match="field max_mode: .*max_mode >= 2"):
+            BenchConfig.from_dict({"family": family, "sizes": "64",
+                                   "max_mode": "1"})
+
+    def test_dense_sizes_need_no_modes(self):
+        cfg = BenchConfig.from_dict({"family": "dense", "sizes": "1031",
+                                     "max_mode": "1"})
+        assert cfg.sizes == (1031,)
+
+    @pytest.mark.parametrize("family", ["dense", "both"])
+    def test_dense_sizes_must_fit_the_budget(self, family):
+        # 2 * 8 * 16384^2 bytes is over the 1.5 GB budget; 8192 is under it.
+        BenchConfig.from_dict({"family": family, "sizes": "8192"})
+        with pytest.raises(ConfigError, match="field sizes: dense 16384x16384 "
+                                              "needs 4294967296 bytes"):
+            BenchConfig.from_dict({"family": family, "sizes": "64,16384"})
+
+    def test_tt_sizes_have_no_dense_budget(self):
+        cfg = BenchConfig.from_dict({"family": "tt", "sizes": "65536"})
+        assert cfg.sizes == (65536,)
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))

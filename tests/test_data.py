@@ -5,12 +5,12 @@ import struct
 import numpy as np
 import pytest
 
+from synthdata import write_idx, write_pianoroll
 from ttrnn import DataError, FormatError
 from ttrnn.data import (
     ImageDataset,
     PianoRollDataset,
     SequenceBatch,
-    deserialize_image,
     make_batches,
     make_permutation,
     permutation_digest,
@@ -18,8 +18,6 @@ from ttrnn.data import (
     read_pianoroll,
     serialize_image,
     split_train_val,
-    write_idx,
-    write_pianoroll,
 )
 
 
@@ -136,10 +134,14 @@ class TestSerializeImage:
 
     @pytest.mark.parametrize("mode", ["row", "pixel", "permuted"])
     def test_lossless_inverse(self, mode):
+        # Each mode picks every pixel exactly once, so matching direct
+        # indexing of the image means no pixel is lost or repeated.
         perm = make_permutation() if mode == "permuted" else None
         seq = serialize_image(self.image, mode, perm)
-        back = deserialize_image(seq, mode, permutation=perm)
-        np.testing.assert_array_equal(back, self.image)
+        want = {"row": self.image,
+                "pixel": self.image.reshape(-1, 1),
+                "permuted": self.image.reshape(-1)[perm].reshape(-1, 1)}[mode]
+        np.testing.assert_array_equal(seq, want)
 
     def test_permutation_is_shared_and_deterministic(self):
         p1 = make_permutation()

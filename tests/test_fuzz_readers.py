@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthdata import periodic_songs, striped_images
+from synthdata import periodic_songs, striped_images, write_idx, write_pianoroll
 from ttrnn.checkpoint import KIND_ARRAY, read_checkpoint, save_checkpoint
-from ttrnn.data import read_idx, read_pianoroll, write_idx, write_pianoroll
+from ttrnn.data import read_idx, read_pianoroll
 from ttrnn.errors import DataError, FormatError
 from ttrnn.models import build_classifier
-from ttrnn.ttmatrix import TTMatrix, TTSpec, read_ttmatrix, write_ttmatrix
+from ttrnn.ttmatrix import TTMatrix, TTSpec, _parse_ttmatrix, write_ttmatrix
 
 HEADER_VALUES = (-1, 0, 2 ** 31, 2 ** 40, 2 ** 62, 2 ** 63 - 1)
 
@@ -89,8 +89,7 @@ def _fixtures(root) -> dict:
                     meta={"epoch": 3})
 
     def parse_ttm1(path):
-        with open(path, "rb") as fh:
-            read_ttmatrix(fh)
+        _parse_ttmatrix(path.read_bytes(), str(path))
 
     def parse_ttcp(path):
         ckpt = read_checkpoint(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ttrnn import RangeError, ShapeError, linear_to_multi, multi_to_linear
+from ttrnn import RangeError, ShapeError, linear_to_multi
 
 
 def enumerate_multi(dims):
@@ -20,19 +20,16 @@ def test_full_table_matches_enumeration():
         table = enumerate_multi(dims)
         for p, multi in enumerate(table, start=1):
             assert linear_to_multi(p, dims) == multi
-            assert multi_to_linear(multi, dims) == p
 
 
 def test_frozen_values():
     # dims (4, 7): p = 9 sits at row 2, column 2 (last index fastest).
     assert linear_to_multi(9, (4, 7)) == (2, 2)
-    assert multi_to_linear((2, 2), (4, 7)) == 9
     assert linear_to_multi(1, (2, 3, 4)) == (1, 1, 1)
     assert linear_to_multi(24, (2, 3, 4)) == (2, 3, 4)
     assert linear_to_multi(5, (2, 3, 4)) == (1, 2, 1)
     # Single mode degenerates to the identity.
     assert linear_to_multi(3, (7,)) == (3,)
-    assert multi_to_linear((3,), (7,)) == 3
 
 
 def test_matches_numpy_unravel():
@@ -47,14 +44,12 @@ def test_matches_numpy_unravel():
     st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
     st.data(),
 )
-def test_round_trip(dims, data):
+def test_any_dims_match_numpy_unravel(dims, data):
     dims = tuple(dims)
     total = int(np.prod(dims))
     p = data.draw(st.integers(min_value=1, max_value=total))
-    multi = linear_to_multi(p, dims)
-    assert len(multi) == len(dims)
-    assert all(1 <= i <= d for i, d in zip(multi, dims))
-    assert multi_to_linear(multi, dims) == p
+    expect = tuple(int(v) + 1 for v in np.unravel_index(p - 1, dims))
+    assert linear_to_multi(p, dims) == expect
 
 
 def test_range_errors():
@@ -62,10 +57,6 @@ def test_range_errors():
         linear_to_multi(0, (4, 7))
     with pytest.raises(RangeError):
         linear_to_multi(29, (4, 7))
-    with pytest.raises(RangeError):
-        multi_to_linear((0, 1), (4, 7))
-    with pytest.raises(RangeError):
-        multi_to_linear((1, 8), (4, 7))
 
 
 def test_shape_errors():
@@ -73,5 +64,3 @@ def test_shape_errors():
         linear_to_multi(1, ())
     with pytest.raises(ShapeError):
         linear_to_multi(1, (3, 0))
-    with pytest.raises(ShapeError):
-        multi_to_linear((1, 1, 1), (4, 7))

@@ -7,16 +7,18 @@ import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import DataError, ShapeError
+from ttrnn.data import make_batches
 from ttrnn.models import build_predictor, model_report
 from ttrnn.tasks import (
     bernoulli_frame_nll,
     cell_param_count,
-    classification_accuracy,
     compression_ratio,
-    frame_accuracy,
+    frame_counts,
     gate_param_count,
+    pooled_frame_accuracy,
     softmax_cross_entropy,
 )
+from ttrnn.train import evaluate
 
 
 class TestSoftmaxCrossEntropy:
@@ -60,9 +62,24 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
+class FixedLogits:
+    """Stands in for a model: each forward returns the next of ``blocks``."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+
+    def forward(self, x, mask=None):
+        return next(self.blocks)
+
+
 def test_classification_accuracy():
+    # Argmax hits pooled over batches of 3 and 1: 2 of 3, then 1 of 1.
     logits = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 4.0], [-1.0, 0.0]])
-    assert classification_accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
+    batches = make_batches([np.zeros((1, 1))] * 4, "classify", 3,
+                           labels=np.array([0, 1, 1, 1]))
+    model = FixedLogits([logits[:3], logits[3:]])
+    _, acc = evaluate(model, batches, classify=True)
+    assert acc == 0.75
 
 
 class TestBernoulliNLL:
@@ -131,19 +148,21 @@ class TestFrameAccuracy:
                             [-1.0, -1.0, 1.0, -1.0]]])
         targets = np.array([[[1.0, 1.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0, 0.0]]])
-        assert frame_accuracy(logits, targets) == pytest.approx(3.0 / 5.0)
+        assert pooled_frame_accuracy(frame_counts(logits, targets)) \
+            == pytest.approx(3.0 / 5.0)
 
     def test_empty_denominator_is_perfect(self):
         logits = -np.ones((2, 2, 3))
         targets = np.zeros((2, 2, 3))
-        assert frame_accuracy(logits, targets) == 1.0
+        assert pooled_frame_accuracy(frame_counts(logits, targets)) == 1.0
 
     def test_mask_excludes_frames(self):
         logits = np.array([[[1.0], [1.0]]])
         targets = np.array([[[1.0], [0.0]]])
-        assert frame_accuracy(logits, targets) == pytest.approx(0.5)
+        assert pooled_frame_accuracy(frame_counts(logits, targets)) \
+            == pytest.approx(0.5)
         mask = np.array([[1.0, 0.0]])
-        assert frame_accuracy(logits, targets, mask) == 1.0
+        assert pooled_frame_accuracy(frame_counts(logits, targets, mask)) == 1.0
 
 
 class TestParamAccounting:
