@@ -171,6 +171,14 @@ class TrainConfig(KVConfig):
             raise ConfigError(
                 f"field parameterization: must be one of {PARAMETERIZATIONS}")
         super().validate()
+        for name, ok, rule in (("lr", self.lr > 0, "> 0"),
+                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                               ("eps", self.eps > 0, "> 0"),
+                               ("clip_norm", self.clip_norm >= 0, ">= 0")):
+            if not (ok and math.isfinite(getattr(self, name))):
+                raise ConfigError(f"field {name}: must be finite and {rule}, "
+                                  f"got {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ConfigError("field batch_size: must be >= 1")
         if self.early_stop and self.patience < 1:

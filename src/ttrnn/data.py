@@ -113,30 +113,29 @@ def _check_permutation(permutation, n: int) -> np.ndarray:
     return perm.astype(np.int64)
 
 
-def serialize_image(image, mode: str, permutation=None) -> np.ndarray:
-    """Flatten one image into a (T, N) sequence.
+def serialize_images(images, mode: str, permutation=None) -> np.ndarray:
+    """Flatten a ``(count, rows, cols)`` stack of images into ``count``
+    sequences at once, as one ``(count, T, N)`` array.
 
-    ``row``: each of the 28 rows top to bottom (T=28, N=28).
-    ``pixel``: each pixel in row-major order (T=784, N=1).
-    ``permuted``: pixel order rearranged by one shared permutation.
+    ``row``: each image's rows top to bottom (T=rows, N=cols): the stack.
+    ``pixel``: each pixel in row-major order (T=rows*cols, N=1): a view.
+    ``permuted``: pixel order rearranged by one shared permutation, checked
+    once and applied as one gather.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"image must be 2-D, got shape {image.shape}")
-    if mode == "row":
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 3:
+        raise ShapeError(f"images must be (count, rows, cols), got shape "
+                         f"{images.shape}")
+    count, rows, cols = images.shape
+    if mode in ("row", "pixel"):
         if permutation is not None:
             raise DataError("permutation only applies to mode 'permuted'")
-        return image.copy()
-    if mode == "pixel":
-        if permutation is not None:
-            raise DataError("permutation only applies to mode 'permuted'")
-        return image.reshape(-1, 1).copy()
+        return images if mode == "row" else images.reshape(count, rows * cols, 1)
     if mode == "permuted":
         if permutation is None:
             raise DataError("mode 'permuted' needs the shared permutation")
-        flat = image.reshape(-1)
-        perm = _check_permutation(permutation, flat.size)
-        return flat[perm].reshape(-1, 1)
+        perm = _check_permutation(permutation, rows * cols)
+        return images.reshape(count, rows * cols)[:, perm, None]
     raise DataError(f"mode must be row|pixel|permuted, got {mode!r}")
 
 

@@ -28,10 +28,10 @@ from .ttmatrix import TTSpec
 
 
 def make_map(out_dim: int, in_dim: int, rng, out_modes=None, in_modes=None,
-             rank=None, bias: bool = False) -> LinearMap:
-    """Dense map, or TT map when mode factorizations are supplied."""
+             rank=None) -> LinearMap:
+    """Biasless cell map: dense, or TT when modes are supplied."""
     if out_modes is None and in_modes is None:
-        return DenseLinear.glorot(out_dim, in_dim, rng, bias=bias)
+        return DenseLinear.glorot(out_dim, in_dim, rng, bias=False)
     if out_modes is None or in_modes is None or rank is None:
         raise ShapeError("TT maps need out_modes, in_modes and rank together")
     spec = TTSpec.with_rank(out_modes, in_modes, rank)
@@ -40,7 +40,7 @@ def make_map(out_dim: int, in_dim: int, rng, out_modes=None, in_modes=None,
             f"modes {tuple(out_modes)}x{tuple(in_modes)} do not factor "
             f"{out_dim}x{in_dim}"
         )
-    return TTLinear.glorot(spec, rng, bias=bias)
+    return TTLinear.glorot(spec, rng, bias=False)
 
 
 def make_cell(kind: str, input_dim: int, hidden_dim: int, rng, in_modes=None,

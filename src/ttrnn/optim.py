@@ -94,10 +94,22 @@ class Adam:
         return out
 
     def load_state(self, state: dict) -> None:
+        """Restore what :meth:`state` returned. Every entry is checked
+        before any is copied, so a load that fails leaves ``t``, ``m`` and
+        ``v`` as they were."""
         want = set(self.state())
         if set(state) != want:
             raise ShapeError("optimizer state keys do not match this parameter set")
-        self.t = int(state["t"][0])
+        t = np.asarray(state["t"], dtype=np.float64)
+        if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
+            raise ShapeError(f"optimizer state t must be one non-negative "
+                             f"whole number, got {state['t']!r}")
+        for k, p in self.params.items():
+            for key in (f"m.{k}", f"v.{k}"):
+                if np.shape(state[key]) != p.shape:
+                    raise ShapeError(f"optimizer state {key} has shape "
+                                     f"{np.shape(state[key])}, param {p.shape}")
+        self.t = int(t[0])
         for k in self.params:
             self.m[k][...] = state[f"m.{k}"]
             self.v[k][...] = state[f"v.{k}"]

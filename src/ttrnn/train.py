@@ -83,8 +83,8 @@ def _load_splits(cfg: TrainConfig, splits) -> dict:
     parts = {"test": ds} if "test" in splits else \
         dict(zip(("train", "val"), D.split_train_val(ds, cfg.val_count)))
     mode, perm = cfg.task.removeprefix("mnist-"), _permutation(cfg)
-    return {split: ([D.serialize_image(img, mode, perm)
-                     for img in parts[split].images[: stop.get(split)]],
+    return {split: (D.serialize_images(parts[split].images[: stop.get(split)],
+                                       mode, perm),
                     parts[split].labels[: stop.get(split)]) for split in splits}
 
 

@@ -206,14 +206,14 @@ class TTMatrix:
             raise SizeError(
                 f"dense materialization of {m_dim}x{n_dim} exceeds cap {DENSE_CAP}"
             )
-        # Contract cores left to right; acc is indexed (m_1, n_1, ..., m_k, n_k, r_k).
+        # Contract cores left to right; acc is (rows so far, columns so far,
+        # r_k). Plain einsum (no optimize) writes straight into its output,
+        # so the last step writes W once, row-major.
         acc = self.cores[0][:, :, 0, :]
         for g in self.cores[1:]:
-            acc = np.tensordot(acc, g, axes=([acc.ndim - 1], [2]))
-        acc = acc[..., 0]
-        d = self.spec.ndim
-        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-        return np.ascontiguousarray(acc.transpose(perm).reshape(m_dim, n_dim))
+            rows, cols = acc.shape[0] * g.shape[0], acc.shape[1] * g.shape[1]
+            acc = np.einsum("abr,mnrs->ambns", acc, g).reshape(rows, cols, -1)
+        return acc.reshape(m_dim, n_dim)
 
 
 def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:

@@ -87,6 +87,14 @@ class TestUsageAndErrors:
         assert err.startswith(f"config error: field {field}: ") and out == ""
         assert not (tmp_path / "run" / "config.resolved").exists()
 
+    def test_out_of_range_float_field_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", **mnist_fields(tmp_path,
+                                                              clip_norm="-5"))
+        assert main(["train", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: field clip_norm: ") and out == ""
+        assert not (tmp_path / "run" / "config.resolved").exists()
+
     @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
                                       (0, 2 ** 32 - 1, 2 ** 32 - 1)],
                              ids=["pixel-bytes", "no-images"])

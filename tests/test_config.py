@@ -58,6 +58,24 @@ class TestTrainConfig:
         assert TrainConfig.from_dict({"early_stop": "true", "patience": "1"}).patience == 1
         assert TrainConfig.from_dict({"patience": "0"}).patience == 0
 
+    @pytest.mark.parametrize("name, value", [
+        ("lr", "-0.001"), ("lr", "0"), ("lr", "nan"), ("lr", "inf"),
+        ("beta1", "1.0"), ("beta1", "-0.1"), ("beta1", "nan"),
+        ("beta2", "2"), ("beta2", "1.0"),
+        ("eps", "0"), ("eps", "-1e-8"), ("eps", "inf"),
+        ("clip_norm", "-5"), ("clip_norm", "inf"), ("clip_norm", "nan"),
+    ])
+    def test_float_fields_range_checked(self, name, value):
+        with pytest.raises(ConfigError, match=f"field {name}: must be finite"):
+            TrainConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("lr", "1e-300"), ("beta1", "0"), ("beta2", "0.9999"), ("eps", "1e-12"),
+        ("clip_norm", "0"), ("clip_norm", "5.0"),
+    ])
+    def test_float_fields_in_range_accepted(self, name, value):
+        assert getattr(TrainConfig.from_dict({name: value}), name) == float(value)
+
     def test_modes_accept_x_and_comma(self):
         a = TrainConfig.from_dict({"hidden_modes": "10x10"})
         b = TrainConfig.from_dict({"hidden_modes": "10,10"})

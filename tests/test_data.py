@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from synthdata import write_idx, write_pianoroll
-from ttrnn import DataError, FormatError
+from ttrnn import DataError, FormatError, ShapeError
+from ttrnn import data as D
 from ttrnn.data import (
     ImageDataset,
     PianoRollDataset,
@@ -16,7 +17,7 @@ from ttrnn.data import (
     permutation_digest,
     read_idx,
     read_pianoroll,
-    serialize_image,
+    serialize_images,
     split_train_val,
 )
 
@@ -117,31 +118,40 @@ class TestIDX:
 class TestSerializeImage:
     def setup_method(self):
         self.image = np.arange(784).reshape(28, 28) / 784.0
+        # The image, its reverse and its transpose: one stack, one call.
+        self.images = np.stack([self.image, self.image[::-1], self.image.T])
 
     def test_row_mode(self):
-        seq = serialize_image(self.image, "row")
-        assert seq.shape == (28, 28)
-        np.testing.assert_array_equal(seq[3], self.image[3])
+        seqs = serialize_images(self.images, "row")
+        assert seqs.shape == (3, 28, 28)
+        np.testing.assert_array_equal(seqs[0, 3], self.image[3])
+        np.testing.assert_array_equal(seqs[2, 3], self.image[:, 3])
+        assert np.shares_memory(seqs, self.images)
 
     def test_pixel_concatenation_is_row_major_flattening(self):
-        seq = serialize_image(self.image, "pixel")
-        assert seq.shape == (784, 1)
-        np.testing.assert_array_equal(seq.reshape(-1), self.image.reshape(-1))
+        seqs = serialize_images(self.images, "pixel")
+        assert seqs.shape == (3, 784, 1)
+        for seq, image in zip(seqs, self.images):
+            np.testing.assert_array_equal(seq.reshape(-1), image.reshape(-1))
+        assert np.shares_memory(seqs, self.images)
 
     def test_identity_permutation_equals_pixel_mode(self):
-        seq = serialize_image(self.image, "permuted", np.arange(784))
-        np.testing.assert_array_equal(seq, serialize_image(self.image, "pixel"))
+        seqs = serialize_images(self.images, "permuted", np.arange(784))
+        np.testing.assert_array_equal(seqs, serialize_images(self.images, "pixel"))
+        assert not np.shares_memory(seqs, self.images)
 
     @pytest.mark.parametrize("mode", ["row", "pixel", "permuted"])
     def test_lossless_inverse(self, mode):
         # Each mode picks every pixel exactly once, so matching direct
-        # indexing of the image means no pixel is lost or repeated.
+        # indexing of each image means no pixel is lost or repeated.
         perm = make_permutation() if mode == "permuted" else None
-        seq = serialize_image(self.image, mode, perm)
-        want = {"row": self.image,
-                "pixel": self.image.reshape(-1, 1),
-                "permuted": self.image.reshape(-1)[perm].reshape(-1, 1)}[mode]
-        np.testing.assert_array_equal(seq, want)
+        seqs = serialize_images(self.images, mode, perm)
+        assert len(seqs) == len(self.images)
+        for seq, image in zip(seqs, self.images):
+            want = {"row": image,
+                    "pixel": image.reshape(-1, 1),
+                    "permuted": image.reshape(-1)[perm].reshape(-1, 1)}[mode]
+            np.testing.assert_array_equal(seq, want)
 
     def test_permutation_is_shared_and_deterministic(self):
         p1 = make_permutation()
@@ -150,17 +160,35 @@ class TestSerializeImage:
         assert permutation_digest(p1) == permutation_digest(p2)
         assert permutation_digest(make_permutation(seed=1)) != permutation_digest(p1)
 
+    def test_permutation_checked_once_per_stack(self, monkeypatch):
+        real = D._check_permutation
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(D, "_check_permutation", counting)
+        seqs = serialize_images(self.images, "permuted", make_permutation())
+        assert seqs.shape == (3, 784, 1) and len(calls) == 1
+
     def test_invalid_permutation(self):
         with pytest.raises(DataError):
-            serialize_image(self.image, "permuted", np.zeros(784, dtype=int))
+            serialize_images(self.images, "permuted", np.zeros(784, dtype=int))
         with pytest.raises(DataError):
-            serialize_image(self.image, "permuted", np.arange(10))
+            serialize_images(self.images, "permuted", np.arange(10))
         with pytest.raises(DataError):
-            serialize_image(self.image, "pixel", np.arange(784))
+            serialize_images(self.images, "pixel", np.arange(784))
+        with pytest.raises(DataError):
+            serialize_images(self.images, "permuted")
 
     def test_unknown_mode(self):
         with pytest.raises(DataError):
-            serialize_image(self.image, "column")
+            serialize_images(self.images, "column")
+
+    def test_needs_a_stack(self):
+        with pytest.raises(ShapeError):
+            serialize_images(self.image, "row")
 
 
 class TestPianoRoll:

@@ -141,6 +141,33 @@ def test_key_mismatch_rejected():
         opt.load_state({"t": np.array([1.0])})
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("m.w", np.zeros(1), "m.w has shape"),
+    ("v.w", np.zeros(4), "v.w has shape"),
+    ("m.w", np.zeros((4, 3)), "m.w has shape"),
+    ("t", np.array([2.7]), "t must be one non-negative whole number"),
+    ("t", np.array([-1.0]), "t must be one non-negative whole number"),
+    ("t", np.array([np.nan]), "t must be one non-negative whole number"),
+    ("t", np.array([1.0, 2.0]), "t must be one non-negative whole number"),
+], ids=["m-broadcast", "v-broadcast", "m-transposed", "t-fraction",
+        "t-negative", "t-nan", "t-two-values"])
+def test_load_state_checks_before_copying(key, value, match):
+    rng = np.random.default_rng(2)
+    opt = Adam({"w": rng.standard_normal((3, 4)), "b": np.zeros(3)})
+    for _ in range(2):
+        opt.step({"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(3)})
+    before = {k: v.copy() for k, v in opt.state().items()}
+    # Every other entry is valid and differs from the live state, so a
+    # partial copy would show.
+    state = {k: v + 1.0 for k, v in before.items()}
+    state[key] = value
+    with pytest.raises(ShapeError, match=match):
+        opt.load_state(state)
+    assert opt.t == 2
+    for k, v in opt.state().items():
+        np.testing.assert_array_equal(v, before[k])
+
+
 class TestClip:
     def test_norm_value(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}

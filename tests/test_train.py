@@ -402,9 +402,11 @@ class TestTrainRun:
         assert (tmp_path / "run" / "run.log").read_text().startswith("# config hash")
 
     def test_early_stop_with_flat_validation(self, tmp_path):
-        # lr 0 freezes the model, so validation never improves after
-        # epoch 1 and patience 1 stops the run at epoch 2.
-        cfg = mnist_cfg(tmp_path, epochs=10, lr=0.0, early_stop="true",
+        # lr must be > 0, but a step of ~1e-300 is far below the rounding
+        # of every weight and of the loss, so the model is frozen in effect:
+        # validation never improves after epoch 1 and patience 1 stops the
+        # run at epoch 2.
+        cfg = mnist_cfg(tmp_path, epochs=10, lr=1e-300, early_stop="true",
                         patience=1)
         result = train_run(cfg)
         assert [r["epoch"] for r in result["records"]] == [1, 2]

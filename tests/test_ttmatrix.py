@@ -3,6 +3,7 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ class TestDense:
             full = np.array([[tt.element(i, j) for j in range(1, n_dim + 1)]
                              for i in range(1, m_dim + 1)])
             np.testing.assert_allclose(dense, full, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("out_modes, in_modes, rank", [
+        ((16, 16, 8), (16, 16, 8), 4),  # 2048 x 2048
+        ((4, 16, 16), (4, 8, 8), 5),  # 1024 x 256
+    ], ids=["2048x2048-r4", "1024x256-r5"])
+    def test_writes_w_once(self, out_modes, in_modes, rank):
+        # The last contraction writes W in place, so the traced peak is W
+        # plus the much smaller partial product; a second copy of W (a
+        # transposed result) would read 2x.
+        tt = TTMatrix.glorot(TTSpec.with_rank(out_modes, in_modes, rank),
+                             np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            dense = tt.to_dense(force=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dense.flags.c_contiguous
+        assert peak < 1.5 * dense.nbytes, f"peak {peak / dense.nbytes:.2f}x W"
 
     def test_cap(self):
         spec = TTSpec.with_rank((64, 128), (128, 64), 2)
