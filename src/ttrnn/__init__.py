@@ -15,12 +15,10 @@ from .errors import (
     DataError,
     FormatError,
     NumericError,
-    RangeError,
     ShapeError,
     SizeError,
     TTRNNError,
 )
-from .indexing import linear_to_multi
 from .linear import DenseLinear, LinearMap, TTLinear
 from .models import (
     SequenceClassifier,
@@ -58,7 +56,6 @@ __all__ = [
     "LinearMap",
     "ModelReport",
     "NumericError",
-    "RangeError",
     "SRNNCell",
     "SequenceClassifier",
     "SequencePredictor",
@@ -79,7 +76,6 @@ __all__ = [
     "frame_counts",
     "gate_param_count",
     "global_norm",
-    "linear_to_multi",
     "load_checkpoint",
     "load_into_model",
     "load_optimizer",

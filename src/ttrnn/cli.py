@@ -17,7 +17,6 @@ from .errors import (
     DataError,
     FormatError,
     NumericError,
-    RangeError,
     ShapeError,
     SizeError,
 )
@@ -176,8 +175,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, DataError, ShapeError, RangeError, SizeError,
-            OSError) as e:
+    except (FormatError, DataError, ShapeError, SizeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

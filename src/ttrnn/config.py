@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 
 from .bench import MIN_REPS, MIN_WARMUPS, balanced_modes, check_dense_budget
 from .errors import ConfigError, ShapeError, SizeError
-from .indexing import check_dims
 from .reader import decode
+from .ttmatrix import check_dims
 
 TASKS = ("mnist-row", "mnist-pixel", "mnist-permuted", "pianoroll")
 MODELS = ("srnn", "gru")

@@ -88,6 +88,10 @@ def read_idx(images_path, labels_path) -> ImageDataset:
     if labels.shape[0] != images.shape[0]:
         raise FormatError(f"{labels_path}: count {labels.shape[0]} at offset "
                           f"4 does not match {images.shape[0]} images")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise DataError(f"{labels_path}: label {labels[bad[0]]} at offset "
+                        f"{8 + bad[0]} outside [0, 10)")
     return ImageDataset(images / 255.0, labels.astype(np.int64))
 
 

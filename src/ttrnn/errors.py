@@ -5,10 +5,6 @@ class TTRNNError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class RangeError(TTRNNError, IndexError):
-    """An index is outside its declared 1-based range."""
-
-
 class ShapeError(TTRNNError, ValueError):
     """Array dimensions do not match the operation's contract."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import data as D
 from .checkpoint import load_into_model, save_checkpoint
 from .config import TrainConfig, parse_kv
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .models import build_classifier, build_predictor, model_report
 from .optim import Adam, clip_global_norm, global_norm
 from .reader import decode
@@ -28,12 +28,18 @@ N_CLASSES = 10
 
 
 def build_model(cfg: TrainConfig, rng):
-    """Construct the configured model with freshly initialized weights."""
+    """Construct the configured model with freshly initialized weights; a
+    model too large to allocate is a ConfigError."""
     kwargs = dict(proj_dim=cfg.proj or None, **cfg.tt_args())
-    if cfg.is_classification():
-        return build_classifier(cfg.frame_dim(), N_CLASSES, cfg.model,
-                                cfg.hidden, rng, **kwargs)
-    return build_predictor(cfg.frame_dim(), cfg.model, cfg.hidden, rng, **kwargs)
+    try:
+        if cfg.is_classification():
+            return build_classifier(cfg.frame_dim(), N_CLASSES, cfg.model,
+                                    cfg.hidden, rng, **kwargs)
+        return build_predictor(cfg.frame_dim(), cfg.model, cfg.hidden, rng,
+                               **kwargs)
+    except MemoryError as e:
+        raise ConfigError(f"the configured model does not fit in memory: "
+                          f"{e}") from None
 
 
 def restore_model(ckpt, config_path=None):
@@ -44,8 +50,12 @@ def restore_model(ckpt, config_path=None):
     if config_path is not None:
         cfg = TrainConfig.from_file(config_path)
     elif ckpt.config_text.strip():
-        cfg = TrainConfig.from_dict(parse_kv(ckpt.config_text,
-                                             source="<checkpoint>"))
+        source = f"{ckpt.source}: embedded config"
+        raw = parse_kv(ckpt.config_text, source=source)
+        try:
+            cfg = TrainConfig.from_dict(raw)
+        except ConfigError as e:
+            raise ConfigError(f"{source}: {e}") from None
     else:
         raise ConfigError("checkpoint carries no config; pass --config")
     model = build_model(cfg, np.random.default_rng(cfg.seed_init))
@@ -80,6 +90,9 @@ def _load_splits(cfg: TrainConfig, splits) -> dict:
     if not images or not labels:
         raise ConfigError(f"field {'/'.join(fields)}: mnist tasks need IDX paths")
     ds = D.read_idx(images, labels)
+    if ds.images.shape[1:] != (28, 28):
+        raise DataError(f"{images}: images are {ds.images.shape[1]}x"
+                        f"{ds.images.shape[2]}, mnist tasks need 28x28")
     parts = {"test": ds} if "test" in splits else \
         dict(zip(("train", "val"), D.split_train_val(ds, cfg.val_count)))
     mode, perm = cfg.task.removeprefix("mnist-"), _permutation(cfg)

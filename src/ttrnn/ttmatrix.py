@@ -3,8 +3,10 @@
 A matrix ``W`` of shape ``M x N`` with factorizations ``M = m_1 * ... * m_d``
 and ``N = n_1 * ... * n_d`` is stored as ``d`` cores ``G_k`` of shape
 ``(m_k, n_k, r_{k-1}, r_k)`` with boundary ranks ``r_0 = r_d = 1``. The entry
-at 1-based position ``(i, j)`` is the product of the ``(r_{k-1}, r_k)`` core
-slices picked out by the row-major multi-indices of ``i`` and ``j``:
+at 0-based position ``(i, j)`` is the product of the ``(r_{k-1}, r_k)`` core
+slices picked out by the row-major multi-indices of ``i`` and ``j`` (the last
+index varies fastest, as in ``np.unravel_index`` and a C-order reshape; every
+TT reshape in this package relies on this one convention):
 
     W[i, j] = G_1[i_1, j_1] @ G_2[i_2, j_2] @ ... @ G_d[i_d, j_d]
 
@@ -21,14 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, RangeError, ShapeError, SizeError
-from .indexing import check_dims, linear_to_multi
+from .errors import FormatError, ShapeError, SizeError
 from .reader import Reader
 
 # Largest dense materialization to_dense() will perform without force=True.
 DENSE_CAP = 1 << 24
 
 _MAGIC = b"TTM1"
+
+
+def check_dims(dims) -> tuple[int, ...]:
+    """Validate mode dimensions: non-empty, all >= 1, product fits in uint64."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) == 0:
+        raise ShapeError("mode dims must be non-empty")
+    if any(d < 1 for d in dims):
+        raise ShapeError(f"mode dims must be >= 1, got {dims}")
+    if math.prod(dims) >= 1 << 64:
+        raise ShapeError(f"product of mode dims {dims} overflows 64 bits")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -180,20 +193,6 @@ class TTMatrix:
             sigma = math.sqrt(2.0 / (n * r_next + m * r_prev))
             cores.append(rng.normal(0.0, sigma, size=(m, n, r_prev, r_next)))
         return cls(spec, cores)
-
-    def element(self, i: int, j: int) -> float:
-        """Entry at 1-based ``(i, j)`` via the core slice product."""
-        m_dim, n_dim = self.shape
-        if not 1 <= i <= m_dim:
-            raise RangeError(f"row index {i} outside [1, {m_dim}]")
-        if not 1 <= j <= n_dim:
-            raise RangeError(f"column index {j} outside [1, {n_dim}]")
-        rows = linear_to_multi(i, self.spec.out_modes)
-        cols = linear_to_multi(j, self.spec.in_modes)
-        acc = np.ones((1, 1))
-        for g, ik, jk in zip(self.cores, rows, cols):
-            acc = acc @ g[ik - 1, jk - 1]
-        return float(acc[0, 0])
 
     def to_dense(self, force: bool = False) -> np.ndarray:
         """Materialize the full ``M x N`` matrix.

@@ -2,11 +2,13 @@ import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synthdata import (write_array_record_checkpoint, write_idx_fixture,
+from synthdata import (striped_images, write_array_record_checkpoint,
+                       write_idx, write_idx_fixture,
                        write_idx_header_fixture, write_noise_idx_fixture,
                        write_one_record_checkpoint, write_pianoroll_fixture,
                        write_ttmap_header_checkpoint)
@@ -14,7 +16,9 @@ from ttrnn import bench
 from ttrnn.checkpoint import KIND_ARRAY, save_checkpoint
 from ttrnn.cli import main
 from ttrnn.config import TrainConfig, parse_kv
+from ttrnn.data import ImageDataset
 from ttrnn.optim import Adam
+from ttrnn.ttmatrix import TTMatrix
 from ttrnn.train import build_model, parse_runlog
 
 
@@ -104,6 +108,49 @@ class TestUsageAndErrors:
         assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_model_too_large_for_memory_is_config_error(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # 65536x65536 hidden modes ask for a 96 GiB core; whether the host
+        # refuses that at once depends on its overcommit policy, so the
+        # allocation failure is simulated rather than provoked.
+        def refuse(cls, spec, rng):
+            raise MemoryError("Unable to allocate 96.0 GiB")
+        monkeypatch.setattr(TTMatrix, "glorot", classmethod(refuse))
+        fields = mnist_fields(tmp_path, parameterization="tt", hidden=0,
+                              hidden_modes="65536x65536", input_modes="4x8",
+                              rank=3, proj=32, epochs=0)
+        assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ("config error: the configured model does not fit in "
+                       "memory: Unable to allocate 96.0 GiB\n")
+        assert "Traceback" not in err and out == ""
+
+    def test_label_out_of_range_names_file_and_offset(self, tmp_path, capsys):
+        fields = mnist_fields(tmp_path)
+        raw = bytearray(Path(fields["labels"]).read_bytes())
+        raw[8 + 5] = 12
+        Path(fields["labels"]).write_bytes(bytes(raw))
+        assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"data error: {fields['labels']}: label 12 at offset 13 "
+                       f"outside [0, 10)\n")
+        assert not parse_runlog(tmp_path / "run" / "run.log")
+
+    @pytest.mark.parametrize("task", ["mnist-row", "mnist-pixel",
+                                      "mnist-permuted"])
+    def test_images_not_28x28_name_their_file(self, tmp_path, capsys, task):
+        small = striped_images(30, seed=2, classes=4)
+        images, labels = str(tmp_path / "i20.idx"), str(tmp_path / "l20.idx")
+        write_idx(images, labels,
+                  ImageDataset(small.images[:, :20, :20], small.labels))
+        fields = mnist_fields(tmp_path, task=task, images=images,
+                              labels=labels, val_count=10)
+        assert main(["train", write_config(tmp_path / "c.cfg", **fields)]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"data error: {images}: images are 20x20, mnist tasks "
+                       f"need 28x28\n")
+        assert not parse_runlog(tmp_path / "run" / "run.log")
 
     def test_undecodable_pianoroll_is_exit_2(self, tmp_path, capsys):
         train = tmp_path / "tr.txt"
@@ -292,6 +339,22 @@ class TestEvalCommand:
                       if not line.startswith("#") for tok in line.split())
         assert fields["items"] == "2000"
         assert abs(float(fields["accuracy"]) - 0.1) < 0.03
+
+    @pytest.mark.parametrize("text, detail", [
+        ("task mnist-row\n", ":1: expected 'key = value'"),
+        ("task = chess\n", ": field task: must be one of"),
+    ], ids=["unparsable-line", "bad-field"])
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_embedded_config_errors_name_the_checkpoint(self, tmp_path, capsys,
+                                                        command, text, detail):
+        cfg = TrainConfig.from_file(write_config(tmp_path / "c.cfg",
+                                                 **mnist_fields(tmp_path)))
+        path = tmp_path / "bad-config.ttcp"
+        save_checkpoint(path, build_model(cfg, np.random.default_rng(0)), text)
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {path}: embedded config{detail}")
+        assert out == ""
 
     def test_zeroed_predictor_matches_closed_forms(self, tmp_path, capsys):
         # All-zero weights emit logit 0, probability one half per note:

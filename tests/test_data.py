@@ -92,6 +92,11 @@ class TestIDX:
         with pytest.raises(FormatError, match="4294967295x4294967295"):
             read_idx(img, lab)
 
+    def test_label_out_of_range_names_file_and_offset(self, tmp_path):
+        img, lab = idx_pair(tmp_path, bytes(12), bytes([3, 12]))
+        with pytest.raises(DataError, match=r"lab\.idx: label 12 at offset 9 "):
+            read_idx(img, lab)
+
     def test_trailing_bytes(self, tmp_path):
         img, lab = idx_pair(tmp_path, bytes(13), bytes(2))
         with pytest.raises(FormatError, match="trailing"):

@@ -1,4 +1,4 @@
-"""TT matrix format: element access, densification, init, serialization."""
+"""TT matrix format: mode checks, densification, init, serialization."""
 
 import io
 import math
@@ -11,15 +11,13 @@ import pytest
 from ttrnn import (
     DENSE_CAP,
     FormatError,
-    RangeError,
     ShapeError,
     SizeError,
     TTMatrix,
     TTSpec,
-    linear_to_multi,
     write_ttmatrix,
 )
-from ttrnn.ttmatrix import _parse_ttmatrix
+from ttrnn.ttmatrix import _parse_ttmatrix, check_dims
 
 
 def random_tt(out_modes, in_modes, ranks, seed=0):
@@ -30,12 +28,13 @@ def random_tt(out_modes, in_modes, ranks, seed=0):
 
 
 def element_oracle(tt, i, j):
-    """Independent slice-product oracle using an explicit row-vector sweep."""
-    rows = linear_to_multi(i, tt.spec.out_modes)
-    cols = linear_to_multi(j, tt.spec.in_modes)
+    """Independent slice-product oracle for the entry at 1-based ``(i, j)``,
+    using an explicit row-vector sweep."""
+    rows = np.unravel_index(i - 1, tt.spec.out_modes)
+    cols = np.unravel_index(j - 1, tt.spec.in_modes)
     vec = np.array([1.0])
     for g, ik, jk in zip(tt.cores, rows, cols):
-        slab = g[ik - 1, jk - 1]
+        slab = g[ik, jk]
         vec = np.array([np.dot(vec, slab[:, c]) for c in range(slab.shape[1])])
     assert vec.shape == (1,)
     return float(vec[0])
@@ -130,25 +129,22 @@ class TestSpec:
             TTMatrix(spec, good[:1])
 
 
+class TestCheckDims:
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="non-empty"):
+            check_dims(())
+        with pytest.raises(ShapeError, match=">= 1"):
+            check_dims((3, 0))
+        assert check_dims([4, 7]) == (4, 7)
+
+
 class TestElement:
     def test_all_ones_rank3(self):
         # Every slice product collapses to summing r=3 ones.
         spec = TTSpec((2, 3), (4, 5), (1, 3, 1))
         tt = TTMatrix(spec, [np.ones(spec.core_shape(k)) for k in range(2)])
-        assert tt.element(1, 1) == pytest.approx(3.0)
-        assert tt.element(6, 20) == pytest.approx(3.0)
         dense = tt.to_dense()
         np.testing.assert_allclose(dense, np.full((6, 20), 3.0))
-
-    def test_matches_oracle(self):
-        tt = random_tt((3, 4, 2), (2, 5, 3), (1, 2, 3, 1), seed=7)
-        m_dim, n_dim = tt.shape
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            i = int(rng.integers(1, m_dim + 1))
-            j = int(rng.integers(1, n_dim + 1))
-            assert tt.element(i, j) == pytest.approx(element_oracle(tt, i, j),
-                                                     rel=1e-12, abs=1e-12)
 
     def test_one_hot_placement(self):
         # A single nonzero slice pins down the row-major layout exactly.
@@ -163,21 +159,12 @@ class TestElement:
         dense = tt.to_dense()
         assert dense[5, 1] == pytest.approx(1.0)
         assert np.count_nonzero(dense) == 1
-        assert tt.element(6, 2) == pytest.approx(1.0)
-
-    def test_range_errors(self):
-        tt = random_tt((2, 3), (4, 5), (1, 2, 1))
-        with pytest.raises(RangeError):
-            tt.element(0, 1)
-        with pytest.raises(RangeError):
-            tt.element(7, 1)
-        with pytest.raises(RangeError):
-            tt.element(1, 21)
+        assert element_oracle(tt, 6, 2) == pytest.approx(1.0)
 
 
 class TestDense:
     def test_dense_matches_element_loop(self):
-        # to_dense contracts cores in one chain; the element path multiplies
+        # to_dense contracts cores in one chain; the oracle multiplies
         # slices one entry at a time. Agreement checks both.
         for out_m, in_m, ranks, seed in [
             ((2, 3), (4, 5), (1, 2, 1), 0),
@@ -189,7 +176,8 @@ class TestDense:
             dense = tt.to_dense()
             m_dim, n_dim = tt.shape
             assert dense.shape == (m_dim, n_dim)
-            full = np.array([[tt.element(i, j) for j in range(1, n_dim + 1)]
+            full = np.array([[element_oracle(tt, i, j)
+                              for j in range(1, n_dim + 1)]
                              for i in range(1, m_dim + 1)])
             np.testing.assert_allclose(dense, full, rtol=1e-12, atol=1e-12)
 
