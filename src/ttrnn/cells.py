@@ -7,11 +7,14 @@ count parameters on equal footing). Hidden activations are tanh, gates are
 logistic sigmoid, and the initial hidden state is zero.
 
 A cell's ``_step``/``_step_backward`` are its bare gate equations; ``Cell.step``
-is one unmasked step. Padding is handled once, by :func:`unroll` and
-:func:`bptt`, from a per-step {0,1} mask: a masked-out step leaves the hidden
-state untouched and contributes nothing to any gradient, so batches of
-unequal-length sequences train exactly as if each sequence were processed
-alone.
+is one unmasked step. The GRU's gate math writes in place into the arrays
+its maps return, because a map's output is always a fresh array (never its
+input, cache, weights or workspace); each operation keeps its operands and
+order, so the results have the same bits as out-of-place math. Padding is
+handled once, by :func:`unroll` and :func:`bptt`, from a per-step {0,1}
+mask: a masked-out step leaves the hidden state untouched and contributes
+nothing to any gradient, so batches of unequal-length sequences train
+exactly as if each sequence were processed alone.
 
 The step at t = 0 runs from the zero initial state, which the loop passes
 as ``h_prev = None``, and skips the work that state makes exact zeros, in
@@ -55,6 +58,16 @@ from .linear import (Composite, DenseView, LeasedView, LinearMap, _check_batch,
 def sigmoid(x):
     # The tanh identity is exact and bounded, so nothing can overflow.
     return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _sigmoid_in_place(a):
+    """:func:`sigmoid` of the float array ``a``, written over it and
+    returned; the same operations in the same order, so the same bits."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
 class Cell(Composite):
@@ -160,48 +173,72 @@ class GRUCell(Cell):
         self.grad_bias = {g: np.zeros_like(b) for g, b in self.bias.items()}
 
     def _step(self, maps, x_t, h_prev):
+        # In place in the maps' fresh outputs: r, z and c end up in ar, az
+        # and ac.
         az, cxz = maps["wxz"].forward_cached(x_t)
         ac, cxh = maps["wxh"].forward_cached(x_t)
         if h_prev is None:
             # From the zero state every hidden map gives 0, and so does
             # r_t * h_prev whatever r_t is: no reset gate, and h_t = z_t * c_t.
-            z = sigmoid(az + self.bias["z"])
-            c = np.tanh(ac + self.bias["h"])
+            az += self.bias["z"]
+            z = _sigmoid_in_place(az)
+            ac += self.bias["h"]
+            c = np.tanh(ac, out=ac)
             return z * c, (cxz, cxh, z, c, None)
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
-        r = sigmoid(ar + br + self.bias["r"])
+        ar += br
+        ar += self.bias["r"]
+        r = _sigmoid_in_place(ar)
         bz, chz = maps["whz"].forward_cached(h_prev)
-        z = sigmoid(az + bz + self.bias["z"])
+        az += bz
+        az += self.bias["z"]
+        z = _sigmoid_in_place(az)
         s = r * h_prev
         bc, chh = maps["whh"].forward_cached(s)
-        c = np.tanh(ac + bc + self.bias["h"])
-        h_t = (1.0 - z) * h_prev + z * c
+        ac += bc
+        ac += self.bias["h"]
+        c = np.tanh(ac, out=ac)
+        h_t = np.subtract(1.0, z)
+        h_t *= h_prev
+        h_t += np.multiply(z, c, out=bz)
         return h_t, (cxz, cxh, z, c, (cxr, chr_, chz, chh, r, h_prev))
 
     def _step_backward(self, maps, grad_h, cache):
+        # In place on fresh arrays only: never on grad_h, which the caller
+        # may still read, nor on the cached z, c, r and h_prev.
         cxz, cxh, z, c, hidden = cache
         h_prev = 0.0 if hidden is None else hidden[-1]
-        dz = grad_h * (c - h_prev)
-        dc = grad_h * z
+        dz = np.subtract(c, h_prev)
+        dz *= grad_h
+        dc = np.multiply(grad_h, z)
         # Candidate branch (tanh).
-        dac = dc * (1.0 - c * c)
+        dac = np.multiply(c, c)
+        np.subtract(1.0, dac, out=dac)
+        dac *= dc
         self.grad_bias["h"] += dac.sum(axis=0)
         grad_x = maps["wxh"].backward(dac, cxh)
         # Update gate (sigmoid).
-        daz = dz * z * (1.0 - z)
+        daz = dz
+        daz *= z
+        one_minus_z = np.subtract(1.0, z, out=dc)
+        daz *= one_minus_z
         self.grad_bias["z"] += daz.sum(axis=0)
         grad_x += maps["wxz"].backward(daz, cxz)
         if hidden is None:
             return grad_x, None
         cxr, chr_, chz, chh, r, _ = hidden
-        dh_prev = grad_h * (1.0 - z)
+        dh_prev = one_minus_z
+        dh_prev *= grad_h
         ds = maps["whh"].backward(dac, chh)
-        dr = ds * h_prev
-        dh_prev = dh_prev + ds * r
+        dr = np.multiply(ds, h_prev, out=dac)
+        ds *= r
+        dh_prev += ds
         dh_prev += maps["whz"].backward(daz, chz)
         # Reset gate (sigmoid).
-        dar = dr * r * (1.0 - r)
+        dar = dr
+        dar *= r
+        dar *= np.subtract(1.0, r, out=daz)
         self.grad_bias["r"] += dar.sum(axis=0)
         grad_x += maps["wxr"].backward(dar, cxr)
         dh_prev += maps["whr"].backward(dar, chr_)

@@ -188,11 +188,8 @@ class TrainConfig(KVConfig):
                 raise ConfigError("tt parameterization needs hidden_modes "
                                   "and input_modes")
             for name in ("hidden_modes", "input_modes"):
-                modes = getattr(self, name)
-                if min(modes) < 1:
-                    raise ConfigError(f"field {name}: every mode must be >= 1")
                 try:
-                    check_dims(modes)
+                    check_dims(getattr(self, name))
                 except ShapeError as e:
                     raise ConfigError(f"field {name}: {e}") from None
             if len(self.input_modes) != len(self.hidden_modes):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
-from ttrnn import ShapeError, TTLinear, TTSpec, linear
+from ttrnn import DenseLinear, ShapeError, TTLinear, TTSpec, linear
 from ttrnn.cells import GRUCell, SRNNCell, _unroll, bptt, sigmoid, unroll
+from ttrnn.linear import DenseView
 from ttrnn.models import make_cell
 from ttrnn.tasks import cell_param_count
 
@@ -464,6 +465,27 @@ class TestExecutionPlans:
             np.testing.assert_allclose(g, 2.0 * once[name], rtol=1e-14, atol=0,
                                        err_msg=name)
 
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_dense_plan_runs_no_sweep(self, plan, monkeypatch):
+        # The dense plan builds W.T from the cores and flushes onto them
+        # without sweeping the map; the sweep plan sweeps once per run of a
+        # map, 6T - 4 times per GRU unroll (step 0 runs only wxz and wxh).
+        cell = row_tt_gru(seed=1)
+        assert all(linear.takes_dense_plan(m.tt.spec) for m in tt_maps(cell))
+        force_plan(monkeypatch, plan)
+        calls = {"forward_cached": 0, "backward": 0}
+        for attr in calls:
+            def counted(self, *args, _fn=getattr(TTLinear, attr), _attr=attr):
+                calls[_attr] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(TTLinear, attr, counted)
+        steps = 5
+        x_seq, mask, proj_seq = masked_inputs(cell, steps=steps)
+        _, caches = unroll(cell, x_seq, mask=mask)
+        bptt(cell, caches, grad_h_seq=proj_seq)
+        want = 0 if plan == "dense" else 6 * steps - 4
+        assert calls == {"forward_cached": want, "backward": want}
+
     def test_flops_per_row_counts_each_core_step(self):
         # 100x100 rank 3: each of the two cores costs 2 * 10 * 3 * 10 * 10.
         spec = TTSpec.with_rank((10, 10), (10, 10), 3)
@@ -499,6 +521,15 @@ def tt_maps(cell):
     return [m for m in cell.named_maps().values() if isinstance(m, TTLinear)]
 
 
+def arrays_in(value):
+    """Every array in a cache, however its tuples and lists nest."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from arrays_in(v)
+
+
 def masked_inputs(cell, steps=4, batch=3, seed=9):
     """A sequence with two padded steps, its mask and a per-step gradient."""
     rng = np.random.default_rng(seed)
@@ -518,8 +549,9 @@ class TestSweepWorkspace:
     @pytest.mark.parametrize("reuse", ["unroll", "forward"])
     @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
     def test_stale_caches_raise(self, factory, reuse, plan, monkeypatch):
-        # A dense view's identity sweep is a cache in its map's workspace
-        # too, so either plan refuses an unroll whose lease is gone.
+        # Building a dense view starts a new generation of its map, as a
+        # lease does, so either plan refuses an unroll whose map has moved
+        # on to a later one.
         force_plan(monkeypatch, plan)
         cell = factory(seed=3)
         x_a, mask, proj_seq = masked_inputs(cell, seed=1)
@@ -547,42 +579,63 @@ class TestSweepWorkspace:
         for name, g in cell.grads().items():
             np.testing.assert_array_equal(g, g_f[name], err_msg=name)
 
-    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", ALL_CELLS, ids=lambda f: f.__name__)
     def test_no_result_shares_the_workspace(self, factory, monkeypatch):
-        # The GRU adds three maps' input gradients in place (grad_x += ...);
-        # were one of them a workspace view, that would corrupt a cache.
-        force_plan(monkeypatch, "sweep")
-        returned = {"forward_cached": [], "backward": []}
-        for attr, seen in returned.items():
-            def recorded(self, *args, _fn=getattr(TTLinear, attr), _seen=seen):
-                out = _fn(self, *args)
-                _seen.append((self, out[0] if isinstance(out, tuple) else out))
-                return out
-            monkeypatch.setattr(TTLinear, attr, recorded)
-        cell = factory(seed=2)
-        # wx sweeps right to left, so its first step (Q = 1) writes into the
-        # workspace too.
-        assert cell.named_maps()["wx" if cell.kind == "srnn" else "wxh"].tt.spec.right_to_left
-        x_seq, mask, proj_seq = masked_inputs(cell)
-        h_seq, caches = unroll(cell, x_seq, mask=mask)
-        grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
-        h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
-        names = {id(m): name for name, m in cell.named_maps().items()}
-        runs = runs_per_unroll(cell, x_seq.shape[0])
-        # forward_cached runs once per run of a map in training, once in
-        # inference; the step from the zero state skips the hidden maps and
-        # the GRU's wxr.
-        for attr, times in (("forward_cached", 2), ("backward", 1)):
-            seen = returned[attr]
-            counts = {name: 0 for name in runs}
-            for layer, out in seen:
-                counts[names[id(layer)]] += 1
-                assert layer.workspace.size > 0
-                assert not np.shares_memory(out, layer.workspace), attr
-            assert counts == {name: times * n for name, n in runs.items()}, attr
-        for out in (h_seq, grad_x, h_inf):
-            for layer in tt_maps(cell):
-                assert not np.shares_memory(out, layer.workspace)
+        # The GRU's gate math writes in place into what its maps return, and
+        # adds three maps' input gradients in place (grad_x += ...); were a
+        # result a view of a cache, of the weights or of a workspace, that
+        # would corrupt it.
+        returned = []  # (map, method, result, cache)
+        for cls in (TTLinear, DenseView, DenseLinear):
+            for attr in ("forward_cached", "backward"):
+                def recorded(self, *args, _fn=getattr(cls, attr), _attr=attr):
+                    out = _fn(self, *args)
+                    if _attr == "forward_cached":
+                        returned.append((self, _attr) + out)
+                    else:
+                        returned.append((self, _attr, out, args[1]))
+                    return out
+                monkeypatch.setattr(cls, attr, recorded)
+        for plan in PLANS:
+            force_plan(monkeypatch, plan)
+            cell = factory(seed=2)
+            x_seq, mask, proj_seq = masked_inputs(cell)
+            returned.clear()
+            h_seq, caches = unroll(cell, x_seq, mask=mask)
+            grad_x = bptt(cell, caches, grad_h_seq=proj_seq)
+            h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
+            assert returned
+            for layer, attr, out, cache in returned:
+                held = list(arrays_in(cache))
+                if isinstance(layer, DenseView):
+                    held += [a for a in (layer.wt, layer.grad_wt) if a is not None]
+                    layer = layer.layer
+                held += list(layer.params().values()) + list(layer.grads().values())
+                if isinstance(layer, TTLinear):
+                    held.append(layer.workspace)
+                for a in held:
+                    assert not np.shares_memory(out, a), (plan, attr)
+            for out in (h_seq, grad_x, h_inf):
+                for layer in tt_maps(cell):
+                    assert not np.shares_memory(out, layer.workspace)
+            if plan == "dense" or not tt_maps(cell):
+                continue
+            # wx sweeps right to left, so its first step (Q = 1) writes into
+            # the workspace too.
+            wx = cell.named_maps()["wx" if cell.kind == "srnn" else "wxh"]
+            assert wx.tt.spec.right_to_left
+            # forward_cached runs once per run of a map in training, once in
+            # inference; the step from the zero state skips the hidden maps
+            # and the GRU's wxr.
+            names = {id(m): name for name, m in cell.named_maps().items()}
+            runs = runs_per_unroll(cell, x_seq.shape[0])
+            for attr, times in (("forward_cached", 2), ("backward", 1)):
+                counts = {name: 0 for name in runs}
+                for layer, seen, _, _ in returned:
+                    if seen == attr and isinstance(layer, TTLinear):
+                        counts[names[id(layer)]] += 1
+                        assert layer.workspace.size > 0
+                assert counts == {name: times * n for name, n in runs.items()}, attr
 
     @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
     def test_same_shape_unrolls_reuse_one_buffer(self, factory, monkeypatch):
@@ -667,3 +720,98 @@ class TestSweepWorkspace:
         assert not np.shares_memory(dx, wx.workspace)
         np.testing.assert_allclose(y, x @ wx.tt.to_dense().T, rtol=1e-13, atol=1e-15)
 
+
+class TranscribedGRU(GRUCell):
+    """The GRU's gate math out of place, a fresh array for every operation:
+    the reference that GRUCell's in-place math must match bit for bit."""
+
+    def _step(self, maps, x_t, h_prev):
+        az, cxz = maps["wxz"].forward_cached(x_t)
+        ac, cxh = maps["wxh"].forward_cached(x_t)
+        if h_prev is None:
+            z = sigmoid(az + self.bias["z"])
+            c = np.tanh(ac + self.bias["h"])
+            return z * c, (cxz, cxh, z, c, None)
+        ar, cxr = maps["wxr"].forward_cached(x_t)
+        br, chr_ = maps["whr"].forward_cached(h_prev)
+        r = sigmoid(ar + br + self.bias["r"])
+        bz, chz = maps["whz"].forward_cached(h_prev)
+        z = sigmoid(az + bz + self.bias["z"])
+        s = r * h_prev
+        bc, chh = maps["whh"].forward_cached(s)
+        c = np.tanh(ac + bc + self.bias["h"])
+        h_t = (1.0 - z) * h_prev + z * c
+        return h_t, (cxz, cxh, z, c, (cxr, chr_, chz, chh, r, h_prev))
+
+    def _step_backward(self, maps, grad_h, cache):
+        cxz, cxh, z, c, hidden = cache
+        h_prev = 0.0 if hidden is None else hidden[-1]
+        dz = grad_h * (c - h_prev)
+        dc = grad_h * z
+        dac = dc * (1.0 - c * c)
+        self.grad_bias["h"] += dac.sum(axis=0)
+        grad_x = maps["wxh"].backward(dac, cxh)
+        daz = dz * z * (1.0 - z)
+        self.grad_bias["z"] += daz.sum(axis=0)
+        grad_x += maps["wxz"].backward(daz, cxz)
+        if hidden is None:
+            return grad_x, None
+        cxr, chr_, chz, chh, r, _ = hidden
+        dh_prev = grad_h * (1.0 - z)
+        ds = maps["whh"].backward(dac, chh)
+        dr = ds * h_prev
+        dh_prev = dh_prev + ds * r
+        dh_prev += maps["whz"].backward(daz, chz)
+        dar = dr * r * (1.0 - r)
+        self.grad_bias["r"] += dar.sum(axis=0)
+        grad_x += maps["wxr"].backward(dar, cxr)
+        dh_prev += maps["whr"].backward(dar, chr_)
+        return grad_x, dh_prev
+
+
+class TestInPlaceGateMath:
+    """GRUCell runs its gate math in place; each operation keeps its
+    operands and order, so every result has the same bits as the
+    transcription's."""
+
+    @staticmethod
+    def run(cell, x_seq, mask, proj_seq, proj_last):
+        h_seq, caches = unroll(cell, x_seq, mask=mask)
+        cell.zero_grads()
+        grad_x = bptt(cell, caches, grad_h_seq=proj_seq, grad_h_last=proj_last)
+        h_inf = _unroll(cell, x_seq, mask, cached=False)[0]
+        grads = {k: v.copy() for k, v in cell.grads().items()}
+        return {"h_seq": h_seq, "grad_x": grad_x, "h_inf": h_inf, **grads}
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("factory, plan", [
+        (dense_gru, None), (tt_gru, "dense"), (tt_gru, "sweep"),
+    ], ids=["dense_gru", "tt_gru-dense", "tt_gru-sweep"])
+    def test_same_bits_as_the_transcription(self, factory, plan, masked, steps,
+                                            monkeypatch):
+        if plan is not None:
+            force_plan(monkeypatch, plan)
+        cell = factory(seed=7)
+        transcribed = factory(seed=7)
+        transcribed.__class__ = TranscribedGRU
+        rng = np.random.default_rng(13)
+        for c in (cell, transcribed):
+            for b in c.named_arrays().values():
+                b[...] = np.random.default_rng(14).standard_normal(b.shape)
+        batch = 3
+        x_seq = rng.standard_normal((steps, batch, cell.input_dim))
+        mask = None
+        if masked:
+            mask = np.ones((steps, batch))
+            mask[0, 0] = 0.0
+            mask[steps - 1, batch - 1] = 0.0
+        proj_seq = rng.standard_normal((steps, batch, cell.hidden_dim))
+        proj_last = rng.standard_normal((batch, cell.hidden_dim))
+        got = self.run(cell, x_seq, mask, proj_seq, proj_last)
+        want = self.run(transcribed, x_seq, mask, proj_seq, proj_last)
+        assert set(got) == set(want)
+        for key, a in got.items():
+            # Compared as integers, so even the sign of a zero must match.
+            np.testing.assert_array_equal(a.view(np.int64), want[key].view(np.int64),
+                                          err_msg=key)

@@ -105,7 +105,7 @@ class TestTrainConfig:
         ("hidden_modes", {"hidden": "0", "hidden_modes": "0x8"}),
     ], ids=["negative-hidden", "negative-input", "zero-hidden"])
     def test_tt_modes_must_be_positive(self, name, fields):
-        with pytest.raises(ConfigError, match=f"field {name}: every mode must be >= 1"):
+        with pytest.raises(ConfigError, match=f"field {name}: mode dims must be >= 1"):
             TrainConfig.from_dict(fields)
 
     def test_dense_needs_no_modes(self):
