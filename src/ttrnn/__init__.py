@@ -39,7 +39,7 @@ from .tasks import (
     gate_param_count,
     softmax_cross_entropy,
 )
-from .ttmatrix import DENSE_CAP, TTMatrix, TTSpec, write_ttmatrix
+from .ttmatrix import DENSE_CAP, TTMatrix, TTSpec
 
 __version__ = "0.1.0"
 
@@ -87,5 +87,4 @@ __all__ = [
     "save_checkpoint",
     "softmax_cross_entropy",
     "unroll",
-    "write_ttmatrix",
 ]

@@ -122,7 +122,7 @@ def measure_tt(size_m: int, size_n: int, rank: int, max_mode: int, batch: int,
                warmups: int = MIN_WARMUPS) -> BenchPoint:
     spec = TTSpec.with_rank(balanced_modes(size_m, max_mode),
                             balanced_modes(size_n, max_mode), rank)
-    layer = TTLinear.glorot(spec, rng, bias=False)
+    layer = TTLinear.glorot(spec, rng)
     x = rng.standard_normal((batch, size_n))
     grad = rng.standard_normal((batch, size_m))
     fwd = _median_time(lambda: layer.forward(x), reps, warmups)

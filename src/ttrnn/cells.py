@@ -108,7 +108,7 @@ class SRNNCell(Cell):
             raise ShapeError(
                 f"map dims disagree: wx {wx.out_dim}, wh {wh.in_dim}->{wh.out_dim}"
             )
-        if getattr(wx, "bias", None) is not None or getattr(wh, "bias", None) is not None:
+        if wx.bias is not None or wh.bias is not None:
             raise ShapeError("cell maps must be biasless; the cell owns the gate bias")
         self.wx = wx
         self.wh = wh
@@ -164,7 +164,7 @@ class GRUCell(Cell):
                 raise ShapeError(f"wx[{g}] dims disagree with wx[h]")
             if wh[g].in_dim != self.hidden_dim or wh[g].out_dim != self.hidden_dim:
                 raise ShapeError(f"wh[{g}] must map hidden to hidden")
-            if getattr(wx[g], "bias", None) is not None or getattr(wh[g], "bias", None) is not None:
+            if wx[g].bias is not None or wh[g].bias is not None:
                 raise ShapeError("cell maps must be biasless; the cell owns gate biases")
         if set(biases) != set(self.GATES):
             raise ShapeError(f"biases must have exactly gates {self.GATES}")

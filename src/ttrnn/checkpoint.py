@@ -7,7 +7,7 @@ Layout (all integers little-endian int64):
 
 Each record is ``name`` (length-prefixed utf-8), ``kind``, payload length,
 payload bytes. Kind 0 is a raw float64 array (ndim, dims..., data); kind 1
-is a complete TT map blob in the TTM1 layout, bias included. The reader
+is a TT map's cores in the TTM1 layout (:func:`_map_payload`). The reader
 rejects any other kind and a repeated name, and parses every record as it
 reads it; a record's payload length bounds the parse of its contents.
 
@@ -33,9 +33,10 @@ import numpy as np
 from .errors import FormatError, ShapeError
 from .linear import TTLinear
 from .reader import Reader
-from .ttmatrix import _parse_ttmatrix, write_ttmatrix
+from .ttmatrix import TTMatrix, TTSpec
 
 MAGIC = b"TTCP"
+_MAP_MAGIC = b"TTM1"
 VERSION = 1
 KIND_ARRAY = 0
 KIND_TTMAP = 1
@@ -80,9 +81,42 @@ def _parse_array(payload: bytes, source: str) -> np.ndarray:
 
 
 def _map_payload(lm: TTLinear) -> bytes:
+    """``lm``'s cores in the TTM1 layout: magic ``TTM1``, then little-endian
+    int64 fields ``d``, ``out_modes[0..d)``, ``in_modes[0..d)``,
+    ``ranks[0..d]`` and a bias flag, always 0 (a TT map holds no bias; the
+    cell owns it), then each core's float64 data in C order, first core
+    first."""
+    spec = lm.tt.spec
     buf = io.BytesIO()
-    write_ttmatrix(buf, lm.tt, bias=lm.bias)
+    buf.write(_MAP_MAGIC)
+    _write_i64(buf, spec.ndim, *spec.out_modes, *spec.in_modes, *spec.ranks, 0)
+    for g in lm.tt.cores:
+        buf.write(np.ascontiguousarray(g, dtype="<f8").tobytes())
     return buf.getvalue()
+
+
+def _parse_map(payload, source: str) -> TTMatrix:
+    """The TT map that :func:`_map_payload` wrote into ``payload``; errors
+    name ``source``. A bias flag other than 0 is a format error."""
+    r = Reader(payload, source)
+    magic = bytes(r.take(4, "magic"))
+    if magic != _MAP_MAGIC:
+        raise FormatError(f"{source}: bad magic {magic!r}, expected {_MAP_MAGIC!r}")
+    (d,) = r.unpack("<q", "header: core count")
+    if not 1 <= d <= 64:
+        raise FormatError(f"{source}: implausible core count {d}")
+    fields = r.unpack(f"<{3 * d + 2}q", "header: mode/rank/flag fields")
+    if fields[-1] != 0:
+        raise FormatError(f"{source}: bias flag must be 0, got {fields[-1]}")
+    try:
+        spec = TTSpec(fields[:d], fields[d:2 * d], fields[2 * d:3 * d + 1])
+    except ShapeError as e:
+        raise FormatError(f"{source}: invalid header: {e}") from e
+    cores = [r.array("<f8", spec.core_shape(k),
+                     f"core {k} of shape {spec.core_shape(k)}")
+             for k in range(d)]
+    r.end()
+    return TTMatrix(spec, cores)
 
 
 def _model_slots(model) -> list:
@@ -142,7 +176,7 @@ class Checkpoint:
     def __init__(self, version: int, config_text: str, records: dict):
         self.version = version
         self.config_text = config_text
-        # name -> (kind, array for kind 0 or (TTMatrix, bias) for kind 1)
+        # name -> (kind, array for kind 0 or TTMatrix for kind 1)
         self.records = records
 
     def _value(self, name: str, kind: int, what: str):
@@ -154,7 +188,7 @@ class Checkpoint:
     def array(self, name: str) -> np.ndarray:
         return self._value(name, KIND_ARRAY, "an array")
 
-    def ttmap(self, name: str):
+    def ttmap(self, name: str) -> TTMatrix:
         return self._value(name, KIND_TTMAP, "a TT map")
 
     def meta(self) -> dict:
@@ -168,7 +202,7 @@ def _parse_record(name: str, kind: int, payload, where: str):
     if name.startswith("meta:") and kind != KIND_ARRAY:
         raise FormatError(f"{where} is not an array")
     if kind == KIND_TTMAP:
-        return _parse_ttmatrix(payload, where)
+        return _parse_map(payload, where)
     value = _parse_array(payload, where)
     if name.startswith("meta:") and value.size != 1:
         raise FormatError(f"{where}: a meta scalar needs one value, got shape "
@@ -208,20 +242,6 @@ def read_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _tt_copies(lm: TTLinear, ckpt: Checkpoint, name: str) -> list:
-    """``(model array, checkpoint array)`` pairs for ``lm``'s cores and
-    bias, once record ``name`` is checked against ``lm``."""
-    tt, bias = ckpt.ttmap(name)
-    if tt.spec != lm.tt.spec:
-        raise ShapeError(f"{ckpt.source}: checkpoint incompatible: {name} has "
-                         f"spec {tt.spec}, model expects {lm.tt.spec}")
-    if (bias is None) != (lm.bias is None):
-        raise ShapeError(f"{ckpt.source}: checkpoint incompatible: {name} "
-                         f"bias mismatch")
-    pairs = list(zip(lm.tt.cores, tt.cores))
-    return pairs if bias is None else pairs + [(lm.bias, bias)]
-
-
 def load_into_model(ckpt: Checkpoint, model):
     """Copy checkpoint values into ``model`` in place, walking the same
     record list :func:`save_checkpoint` writes.
@@ -238,7 +258,11 @@ def load_into_model(ckpt: Checkpoint, model):
         if name not in ckpt.records:
             raise ShapeError(f"{incompatible} missing record {name!r}")
         if kind == KIND_TTMAP:
-            copies += _tt_copies(dst, ckpt, name)
+            tt = ckpt.ttmap(name)
+            if tt.spec != dst.tt.spec:
+                raise ShapeError(f"{incompatible} {name} has spec {tt.spec}, "
+                                 f"model expects {dst.tt.spec}")
+            copies += zip(dst.tt.cores, tt.cores)
             continue
         src = ckpt.array(name)
         if src.shape != dst.shape:

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import bench as B
-from .checkpoint import read_checkpoint
+from .checkpoint import KIND_TTMAP, read_checkpoint
 from .config import BenchConfig, TrainConfig
 from .errors import (
     ConfigError,
@@ -100,16 +100,14 @@ def cmd_eval(args) -> int:
 
 
 def _describe_record(ckpt, name: str, kind: int) -> str:
-    if kind == 1:
-        tt, bias = ckpt.ttmap(name)
-        spec = tt.spec
-        count = spec.param_count() + (0 if bias is None else spec.out_dim)
+    if kind == KIND_TTMAP:
+        spec = ckpt.ttmap(name).spec
         order = "rtl" if spec.right_to_left else "ltr"
         plan = "dense" if takes_dense_plan(spec) else "sweep"
         return (f"tt modes {'x'.join(map(str, spec.out_modes))} by "
                 f"{'x'.join(map(str, spec.in_modes))} "
-                f"ranks {'-'.join(map(str, spec.ranks))} params {count} "
-                f"order {order} plan {plan}")
+                f"ranks {'-'.join(map(str, spec.ranks))} "
+                f"params {spec.param_count()} order {order} plan {plan}")
     arr = ckpt.array(name)
     shape = "x".join(map(str, arr.shape)) if arr.ndim else "scalar"
     return f"array {shape} params {arr.size}"

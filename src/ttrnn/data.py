@@ -38,7 +38,6 @@ N_NOTES = 88
 NOTE_LOW = 21
 NOTE_HIGH = 108
 SONG_SEPARATOR = "---"
-PERMUTATION_SEED = 8888
 
 
 @dataclass
@@ -95,7 +94,7 @@ def read_idx(images_path, labels_path) -> ImageDataset:
     return ImageDataset(images / 255.0, labels.astype(np.int64))
 
 
-def make_permutation(n: int = 784, seed: int = PERMUTATION_SEED) -> np.ndarray:
+def make_permutation(seed: int, n: int = 784) -> np.ndarray:
     """The shared pixel permutation for the permuted ordering.
 
     One permutation per run, drawn once from the seeded generator; every

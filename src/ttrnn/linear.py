@@ -76,7 +76,7 @@ rule.
 
 Every owner of trainable arrays (map, cell, model) is a :class:`Params`
 and lists its parts once, in ``parts()``: ``weight[, bias]`` for a
-:class:`DenseLinear`, ``core0..core{d-1}[, bias]`` for a :class:`TTLinear`.
+:class:`DenseLinear`, ``core0..core{d-1}`` for a :class:`TTLinear`.
 Its ``params()``/``grads()`` keys derive from that list. Cells and models
 are :class:`Composite`, whose parts also hold maps; their maps and bare
 arrays derive from the same list.
@@ -153,6 +153,7 @@ class LinearMap(Params):
 
     in_dim: int
     out_dim: int
+    bias = None  # a DenseLinear's own; a TT map has none, its cell owns it
 
     def forward(self, x):
         return self.forward_cached(x)[0]
@@ -162,9 +163,6 @@ class LinearMap(Params):
 
     def backward(self, grad_out, cache):
         raise NotImplementedError
-
-    def _bias_parts(self) -> list:
-        return [] if self.bias is None else [("bias", (self.bias, self.grad_bias))]
 
 
 class Composite(Params):
@@ -225,7 +223,10 @@ class DenseLinear(LinearMap):
         return grad_out @ self.weight
 
     def parts(self):
-        return [("weight", (self.weight, self.grad_weight)), *self._bias_parts()]
+        parts = [("weight", (self.weight, self.grad_weight))]
+        if self.bias is not None:
+            parts.append(("bias", (self.bias, self.grad_bias)))
+        return parts
 
 
 def _slot_size(shapes) -> int:
@@ -243,24 +244,20 @@ _MATRIX_AXES = {False: ((0, 3, 2, 1), (0, 3, 2, 1)),
 
 
 class TTLinear(LinearMap):
-    """y = x @ W.T (+ b) with W held in TT format; its own passes never
+    """y = x @ W.T with W held in TT format; its own passes never
     materialize W (a :class:`DenseView` does, from its cores)."""
 
-    def __init__(self, tt: TTMatrix, bias=None):
+    def __init__(self, tt: TTMatrix):
         self.tt = tt
         self.out_dim, self.in_dim = tt.shape
-        self.bias = None if bias is None else _check_bias(bias, self.out_dim)
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
-        self.grad_bias = None if self.bias is None else np.zeros_like(self.bias)
         self.workspace = np.empty(0)  # the step outputs of leased sweeps
         self._leased = (0, 0, [])  # (slots, batch, schedule) of the current lease
         self._generation = 0  # bumped by every lease
 
     @classmethod
-    def glorot(cls, spec: TTSpec, rng: np.random.Generator,
-               bias: bool = True) -> "TTLinear":
-        tt = TTMatrix.glorot(spec, rng)
-        return cls(tt, np.zeros(spec.out_dim) if bias else None)
+    def glorot(cls, spec: TTSpec, rng: np.random.Generator) -> "TTLinear":
+        return cls(TTMatrix.glorot(spec, rng))
 
     def _core_matrices(self):
         # Each step's core as its (height, width) matrix, in sweep order.
@@ -289,27 +286,23 @@ class TTLinear(LinearMap):
                               out=None if out is None else out[:, :, 0])
             else:
                 z = np.matmul(mat, z, out=out)
-        y = z.reshape(x.shape[0], self.out_dim)
-        if self.bias is not None:
-            y = y + self.bias
-        return y, z_inputs
+        return z.reshape(x.shape[0], self.out_dim), z_inputs
 
-    def lease(self, slots: int, batch: int) -> int:
+    def lease(self, slots: int, batch: int):
         """Make room in the workspace for ``slots`` sweeps of ``batch`` rows
         and start a new generation, which makes every cache held in the
-        workspace stale. Returns the generation."""
+        workspace stale."""
         shapes = self.tt.spec.sweep_shapes(batch)
         need = slots * _slot_size(shapes)
         if self.workspace.size < need:
             self.workspace = np.empty(need)
         self._leased = (slots, batch, shapes)
-        return self._new_generation()
+        self._new_generation()
 
-    def _new_generation(self) -> int:
+    def _new_generation(self):
         """Start a new generation, which makes every cache of an earlier one
-        stale; returns it."""
+        stale."""
         self._generation += 1
-        return self._generation
 
     def _slot(self, slot: int, shapes) -> list:
         """Slot ``slot``'s step outputs for the lease's schedule ``shapes``:
@@ -352,8 +345,6 @@ class TTLinear(LinearMap):
         if generation != self._generation:
             raise ShapeError("stale cache: the map's workspace was leased again "
                              "(by a later unroll or forward) since it was made")
-        if self.grad_bias is not None:
-            self.grad_bias += grad_out.sum(axis=0)
         shapes = self._leased[2]  # the cache's own lease, as checked above
         axes, back = _MATRIX_AXES[spec.right_to_left]
         dz = grad_out
@@ -375,7 +366,7 @@ class TTLinear(LinearMap):
 
     def parts(self):
         pairs = enumerate(zip(self.tt.cores, self.grad_cores))
-        return [(f"core{k}", pair) for k, pair in pairs] + self._bias_parts()
+        return [(f"core{k}", pair) for k, pair in pairs]
 
 
 # Largest M * N the dense plan will hold (512 KiB of float64 for W.T and as
@@ -415,7 +406,7 @@ class LeasedView:
 
 
 class DenseView(LeasedView):
-    """A biasless :class:`TTLinear` materialized for one unroll.
+    """A :class:`TTLinear` materialized for one unroll.
 
     ``forward_cached``/``backward`` follow the :class:`LinearMap` contract,
     except that parameter gradients collect in ``grad_wt`` (``dW.T``, None

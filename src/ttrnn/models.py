@@ -40,7 +40,7 @@ def make_map(out_dim: int, in_dim: int, rng, out_modes=None, in_modes=None,
             f"modes {tuple(out_modes)}x{tuple(in_modes)} do not factor "
             f"{out_dim}x{in_dim}"
         )
-    return TTLinear.glorot(spec, rng, bias=False)
+    return TTLinear.glorot(spec, rng)
 
 
 def make_cell(kind: str, input_dim: int, hidden_dim: int, rng, in_modes=None,

@@ -1,12 +1,12 @@
 """One bounded cursor over the bytes of an input file.
 
-The IDX, TTM1 and TTCP readers load a whole file once and parse it through
-a :class:`Reader`. A size a header states is compared with the bytes left
-before anything is sliced, so no header value can make a reader allocate
-or index past what the file holds. Each failure is a :class:`FormatError`
-naming the source, the field and its byte offset. Text (piano-roll and
-config files, checkpoint strings) goes through :func:`decode`, which names
-an undecodable byte the same way.
+The IDX and TTCP readers load a whole file once and parse it, the TTM1 blob
+of each TT map record included, through a :class:`Reader`. A size a header
+states is compared with the bytes left before anything is sliced, so no
+header value can make a reader allocate or index past what the file holds.
+Each failure is a :class:`FormatError` naming the source, the field and its
+byte offset. Text (piano-roll and config files, checkpoint strings) goes
+through :func:`decode`, which names an undecodable byte the same way.
 """
 
 from __future__ import annotations

@@ -16,20 +16,15 @@ Storage is ``sum_k m_k n_k r_{k-1} r_k`` floats instead of ``M * N``.
 from __future__ import annotations
 
 import functools
-import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, SizeError
-from .reader import Reader
+from .errors import ShapeError, SizeError
 
 # Largest dense materialization to_dense() will perform without force=True.
 DENSE_CAP = 1 << 24
-
-_MAGIC = b"TTM1"
 
 
 def check_dims(dims) -> tuple[int, ...]:
@@ -214,55 +209,3 @@ class TTMatrix:
             acc = np.einsum("abr,mnrs->ambns", acc, g).reshape(rows, cols, -1)
         return acc.reshape(m_dim, n_dim)
 
-
-def write_ttmatrix(fh: io.BufferedIOBase, tt: TTMatrix, bias=None) -> None:
-    """Serialize to the TTM1 binary layout.
-
-    Layout: magic ``TTM1``, then little-endian int64 fields ``d``,
-    ``out_modes[0..d)``, ``in_modes[0..d)``, ``ranks[0..d]``, ``bias flag``
-    (0 or 1), then each core's float64 data in C order (first core first),
-    then — when the flag is 1 — the bias vector's ``M`` float64 values.
-    """
-    spec = tt.spec
-    if bias is not None:
-        bias = np.ascontiguousarray(bias, dtype=np.float64)
-        if bias.shape != (spec.out_dim,):
-            raise ShapeError(f"bias must have shape ({spec.out_dim},), got {bias.shape}")
-    header = [spec.ndim, *spec.out_modes, *spec.in_modes, *spec.ranks,
-              0 if bias is None else 1]
-    fh.write(_MAGIC)
-    fh.write(struct.pack(f"<{len(header)}q", *header))
-    for g in tt.cores:
-        fh.write(np.ascontiguousarray(g, dtype="<f8").tobytes())
-    if bias is not None:
-        fh.write(bias.astype("<f8").tobytes())
-
-
-def _parse_ttmatrix(data, source):
-    """Parse the TTM1 layout written by :func:`write_ttmatrix` from the bytes
-    ``data``; errors name ``source``. Returns ``(TTMatrix, bias or None)``.
-    """
-    r = Reader(data, source)
-    magic = bytes(r.take(4, "magic"))
-    if magic != _MAGIC:
-        raise FormatError(f"{source}: bad magic {magic!r}, expected {_MAGIC!r}")
-    (d,) = r.unpack("<q", "header: core count")
-    if not 1 <= d <= 64:
-        raise FormatError(f"{source}: implausible core count {d}")
-    fields = r.unpack(f"<{3 * d + 2}q", "header: mode/rank/flag fields")
-    out_modes = fields[:d]
-    in_modes = fields[d : 2 * d]
-    ranks = fields[2 * d : 3 * d + 1]
-    bias_flag = fields[3 * d + 1]
-    if bias_flag not in (0, 1):
-        raise FormatError(f"{source}: bias flag must be 0 or 1, got {bias_flag}")
-    try:
-        spec = TTSpec(out_modes, in_modes, ranks)
-    except ShapeError as e:
-        raise FormatError(f"{source}: invalid header: {e}") from e
-    cores = [r.array("<f8", spec.core_shape(k),
-                     f"core {k} of shape {spec.core_shape(k)}")
-             for k in range(d)]
-    bias = r.array("<f8", (spec.out_dim,), "bias") if bias_flag else None
-    r.end()
-    return TTMatrix(spec, cores), bias

@@ -162,7 +162,7 @@ def test_criterion_3_gradients_match_finite_differences():
 
     # Standalone TT linear map, 16 -> 16 with modes (4, 4).
     rng = np.random.default_rng(11)
-    layer = TTLinear.glorot(TTSpec.with_rank((4, 4), (4, 4), 3), rng, bias=True)
+    layer = TTLinear.glorot(TTSpec.with_rank((4, 4), (4, 4), 3), rng)
     x = rng.standard_normal((5, 16))
     w = rng.standard_normal((5, 16))
 
@@ -174,7 +174,6 @@ def test_criterion_3_gradients_match_finite_differences():
     dx = layer.backward(w, cache)
     pairs = [(f"linear core {k}", layer.grad_cores[k], numeric_grad(lin_loss, g))
              for k, g in enumerate(layer.tt.cores)]
-    pairs.append(("linear bias", layer.grad_bias, numeric_grad(lin_loss, layer.bias)))
     pairs.append(("linear input", dx, numeric_grad(lin_loss, x)))
     bad += _fd_mismatches(pairs)
 

@@ -9,17 +9,22 @@ import pytest
 
 from ttrnn.checkpoint import (
     KIND_ARRAY,
+    KIND_TTMAP,
     MAGIC,
+    _map_payload,
+    _parse_map,
     load_checkpoint,
     load_into_model,
     load_optimizer,
     read_checkpoint,
     save_checkpoint,
 )
+from ttrnn.cli import main
 from ttrnn.errors import FormatError, ShapeError
 from ttrnn.linear import TTLinear
 from ttrnn.models import build_classifier, build_predictor
 from ttrnn.optim import Adam
+from ttrnn.ttmatrix import TTMatrix, TTSpec
 from synthdata import write_array_record_checkpoint, write_one_record_checkpoint
 
 
@@ -174,12 +179,6 @@ class TestCompatibility:
         assert params_equal(model, tt_classifier())
 
 
-def _flip_bias(ckpt):
-    kind, (tt, bias) = ckpt.records["map:cell.wxr"]
-    ckpt.records["map:cell.wxr"] = (kind, (tt, np.zeros(tt.spec.out_dim)
-                                           if bias is None else None))
-
-
 @pytest.mark.parametrize("edit,model,message", [
     (None, lambda: tt_classifier(rank=3), r"map:cell\.wxr has spec "),
     (lambda c: c.records.pop("arr:cell.bias_h"), tt_classifier,
@@ -187,8 +186,7 @@ def _flip_bias(ckpt):
     (lambda c: c.records.update({"arr:x": c.records["arr:cell.bias_h"]}),
      tt_classifier, "spare record 'arr:x'"),
     (None, lambda: tt_classifier(classes=4), r"map:head\.weight has shape "),
-    (_flip_bias, tt_classifier, r"map:cell\.wxr bias mismatch"),
-], ids=["spec", "missing", "spare", "shape", "bias"])
+], ids=["spec", "missing", "spare", "shape"])
 def test_load_errors_name_the_file(tmp_path, edit, model, message):
     path = tmp_path / "m.ttcp"
     save_checkpoint(path, tt_classifier())
@@ -270,6 +268,86 @@ class TestCorruption:
                                              name="meta:epoch")
         with pytest.raises(FormatError, match="meta:epoch"):
             read_checkpoint(path).meta()
+
+
+def random_map(out_modes, in_modes, ranks, seed=0) -> TTLinear:
+    spec = TTSpec(out_modes, in_modes, ranks)
+    rng = np.random.default_rng(seed)
+    return TTLinear(TTMatrix(spec, [rng.standard_normal(spec.core_shape(k))
+                                    for k in range(spec.ndim)]))
+
+
+class TestSerialization:
+    """The TTM1 blob of a kind-1 record: ``_map_payload`` and ``_parse_map``."""
+
+    def test_round_trip(self):
+        lm = random_map((3, 4, 2), (2, 5, 3), (1, 2, 3, 1), seed=9)
+        back = _parse_map(_map_payload(lm), "buf")
+        assert back.spec == lm.tt.spec
+        for ga, gb in zip(back.cores, lm.tt.cores):
+            np.testing.assert_array_equal(ga, gb)
+
+    def test_header_layout(self):
+        # Fixed layout: magic, then little-endian int64 d, out modes, in
+        # modes, ranks, bias flag (always 0), then float64 core payloads.
+        spec = TTSpec((2,), (3,), (1, 1))
+        raw = _map_payload(TTLinear(TTMatrix(spec, [np.arange(6.0).reshape(2, 3, 1, 1)])))
+        assert raw[:4] == b"TTM1"
+        header = np.frombuffer(raw[4:4 + 8 * 6], dtype="<i8")
+        np.testing.assert_array_equal(header, [1, 2, 3, 1, 1, 0])
+        payload = np.frombuffer(raw[4 + 8 * 6:], dtype="<f8")
+        np.testing.assert_array_equal(payload, np.arange(6.0))
+
+    def test_bad_magic(self):
+        with pytest.raises(FormatError):
+            _parse_map(b"TTMX" + b"\x00" * 64, "buf")
+
+    def test_truncated(self):
+        raw = _map_payload(random_map((2, 3), (4, 5), (1, 2, 1)))
+        for cut in [2, 8, 40, len(raw) - 8]:
+            with pytest.raises(FormatError):
+                _parse_map(raw[:cut], "buf")
+
+    def test_oversized_core_is_format_error(self):
+        # Mode 2**62 passes TTSpec, but the core's 8 * 2**62 bytes do not
+        # fit an index.
+        raw = b"TTM1" + struct.pack("<6q", 1, 2 ** 62, 1, 1, 1, 0)
+        with pytest.raises(FormatError, match="core 0"):
+            _parse_map(raw, "buf")
+
+    def test_trailing_bytes(self):
+        raw = _map_payload(random_map((2, 3), (4, 5), (1, 2, 1)))
+        with pytest.raises(FormatError):
+            _parse_map(raw + b"\x00", "buf")
+
+    def test_invalid_header_fields(self):
+        raw = bytearray(_map_payload(random_map((2, 3), (4, 5), (1, 2, 1))))
+        # Corrupt the first rank field (must be 1).
+        raw[4 + 8 * 5:4 + 8 * 6] = (7).to_bytes(8, "little", signed=True)
+        with pytest.raises(FormatError):
+            _parse_map(bytes(raw), "buf")
+
+    def test_flagged_record_is_format_error(self, tmp_path, capsys):
+        # A blob with the bias flag set and a bias after its cores, the
+        # layout a TT map's own bias once had: a data error naming the
+        # record, from the reader and from inspect alike (exit 2).
+        lm = random_map((2, 3), (4, 5), (1, 2, 1))
+        raw = bytearray(_map_payload(lm))
+        flag = 4 + 8 * (3 * lm.tt.spec.ndim + 2)
+        raw[flag:flag + 8] = struct.pack("<q", 1)
+        payload = bytes(raw) + np.ones(lm.out_dim).tobytes()
+        with pytest.raises(FormatError, match="^buf: bias flag must be 0, got 1"):
+            _parse_map(payload, "buf")
+        path = write_one_record_checkpoint(tmp_path / "flagged.ttcp", "map:cell.wx",
+                                           KIND_TTMAP, payload)
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: record "
+                                              f"'map:cell.wx': bias flag"):
+            read_checkpoint(path)
+        assert main(["inspect", path]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert f"{path}: record 'map:cell.wx': bias flag" in err
+        assert out == ""
 
 
 class TestAtomicWrite:

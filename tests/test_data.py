@@ -149,7 +149,7 @@ class TestSerializeImage:
     def test_lossless_inverse(self, mode):
         # Each mode picks every pixel exactly once, so matching direct
         # indexing of each image means no pixel is lost or repeated.
-        perm = make_permutation() if mode == "permuted" else None
+        perm = make_permutation(seed=8888) if mode == "permuted" else None
         seqs = serialize_images(self.images, mode, perm)
         assert len(seqs) == len(self.images)
         for seq, image in zip(seqs, self.images):
@@ -159,8 +159,8 @@ class TestSerializeImage:
             np.testing.assert_array_equal(seq, want)
 
     def test_permutation_is_shared_and_deterministic(self):
-        p1 = make_permutation()
-        p2 = make_permutation()
+        p1 = make_permutation(seed=8888)
+        p2 = make_permutation(seed=8888)
         np.testing.assert_array_equal(p1, p2)
         assert permutation_digest(p1) == permutation_digest(p2)
         assert permutation_digest(make_permutation(seed=1)) != permutation_digest(p1)
@@ -174,7 +174,7 @@ class TestSerializeImage:
             return real(*args)
 
         monkeypatch.setattr(D, "_check_permutation", counting)
-        seqs = serialize_images(self.images, "permuted", make_permutation())
+        seqs = serialize_images(self.images, "permuted", make_permutation(seed=8888))
         assert seqs.shape == (3, 784, 1) and len(calls) == 1
 
     def test_invalid_permutation(self):

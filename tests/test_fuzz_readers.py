@@ -7,7 +7,6 @@ field overwritten with extreme values; a derandomized hypothesis search
 then sets arbitrary bytes anywhere in it.
 """
 
-import io
 import struct
 
 import numpy as np
@@ -16,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthdata import periodic_songs, striped_images, write_idx, write_pianoroll
-from ttrnn.checkpoint import KIND_ARRAY, read_checkpoint, save_checkpoint
+from ttrnn.checkpoint import (KIND_ARRAY, _map_payload, _parse_map,
+                              read_checkpoint, save_checkpoint)
 from ttrnn.data import read_idx, read_pianoroll
 from ttrnn.errors import DataError, FormatError
+from ttrnn.linear import TTLinear
 from ttrnn.models import build_classifier
-from ttrnn.ttmatrix import TTMatrix, TTSpec, _parse_ttmatrix, write_ttmatrix
+from ttrnn.ttmatrix import TTSpec
 
 HEADER_VALUES = (-1, 0, 2 ** 31, 2 ** 40, 2 ** 62, 2 ** 63 - 1)
 
@@ -76,10 +77,8 @@ class Fixture:
 
 
 def _fixtures(root) -> dict:
-    tt = TTMatrix.glorot(TTSpec.with_rank((2, 3), (4, 2), 2),
-                         np.random.default_rng(0))
-    buf = io.BytesIO()
-    write_ttmatrix(buf, tt, bias=np.arange(6.0))
+    ttm1 = _map_payload(TTLinear.glorot(TTSpec.with_rank((2, 3), (4, 2), 2),
+                                        np.random.default_rng(0)))
 
     model = build_classifier(4, 3, "gru", 4, np.random.default_rng(1),
                              proj_dim=None, in_modes=(2, 2),
@@ -89,7 +88,7 @@ def _fixtures(root) -> dict:
                     meta={"epoch": 3})
 
     def parse_ttm1(path):
-        _parse_ttmatrix(path.read_bytes(), str(path))
+        _parse_map(path.read_bytes(), str(path))
 
     def parse_ttcp(path):
         ckpt = read_checkpoint(path)
@@ -105,8 +104,7 @@ def _fixtures(root) -> dict:
     images_raw = images.read_bytes()
     labels_raw = labels.read_bytes()
     return {
-        "ttm1": Fixture(buf.getvalue(), parse_ttm1,
-                        ttm1_fields(buf.getvalue())),
+        "ttm1": Fixture(ttm1, parse_ttm1, ttm1_fields(ttm1)),
         "ttcp": Fixture(ttcp, parse_ttcp, ttcp_fields(ttcp)),
         "idx-images": Fixture(images_raw, lambda path: read_idx(path, labels),
                               (4, 8, 12), 4, "big"),

@@ -9,13 +9,9 @@ from ttrnn import DenseLinear, ShapeError, TTLinear, TTMatrix, TTSpec
 from ttrnn.linear import DenseView
 
 
-def make_tt_layer(out_modes, in_modes, ranks, seed=0, bias=True):
+def make_tt_layer(out_modes, in_modes, ranks, seed=0):
     spec = TTSpec(out_modes, in_modes, ranks)
-    rng = np.random.default_rng(seed)
-    layer = TTLinear.glorot(spec, rng, bias=bias)
-    if bias:
-        layer.bias[:] = rng.standard_normal(layer.out_dim) * 0.1
-    return layer
+    return TTLinear.glorot(spec, np.random.default_rng(seed))
 
 
 # Each spec's sweep direction (TTSpec.right_to_left) is in the comment; a
@@ -40,7 +36,7 @@ class TestForward:
         x = rng.standard_normal((7, layer.in_dim))
         y = layer.forward(x)
         w = layer.tt.to_dense()
-        np.testing.assert_allclose(y, x @ w.T + layer.bias, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, x @ w.T, rtol=1e-12, atol=1e-12)
 
     def test_batch_of_one_and_many(self):
         # forward reuses the layer's workspace across calls, growing it for
@@ -52,8 +48,7 @@ class TestForward:
         ys = [layer.forward(x) for x in xs]
         for x, y in zip(xs, ys):
             assert not np.shares_memory(y, layer.workspace)
-            np.testing.assert_allclose(y, x @ w.T + layer.bias,
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(y, x @ w.T, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(y, layer.forward_cached(x)[0])
 
     def test_dense_layer(self):
@@ -70,11 +65,10 @@ class TestForward:
         np.testing.assert_allclose(layer.forward(x), want, rtol=1e-12, atol=1e-12)
 
     def test_no_bias(self):
-        layer = make_tt_layer((2, 3), (3, 2), (1, 2, 1), bias=False)
+        # A TT map is its cores; the cell that holds it owns the bias.
+        layer = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
         assert layer.bias is None
-        x = np.random.default_rng(0).standard_normal((2, 6))
-        np.testing.assert_allclose(layer.forward(x), x @ layer.tt.to_dense().T,
-                                   rtol=1e-12, atol=1e-12)
+        assert list(layer.params()) == ["core0", "core1"]
 
     def test_shape_errors(self):
         layer = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
@@ -104,7 +98,6 @@ class TestBackward:
 
             for k, core in enumerate(layer.tt.cores):
                 assert_grads_close(layer.grad_cores[k], numeric_grad(loss, core))
-            assert_grads_close(layer.grad_bias, numeric_grad(loss, layer.bias))
             assert_grads_close(dx, numeric_grad(loss, x))
 
     def test_tt_input_grad_matches_dense_path(self):
@@ -249,7 +242,7 @@ class TestDenseView:
 
     @pytest.mark.parametrize("out_m,in_m,ranks", SPECS)
     def test_wt_matches_the_oracle(self, out_m, in_m, ranks):
-        layer = make_tt_layer(out_m, in_m, ranks, seed=3, bias=False)
+        layer = make_tt_layer(out_m, in_m, ranks, seed=3)
         wt = DenseView(layer).wt
         w = layer.tt.to_dense()
         assert wt.shape == (layer.in_dim, layer.out_dim)
@@ -262,7 +255,7 @@ class TestDenseView:
     def test_flush_matches_the_sweep_backward(self, out_m, in_m, ranks):
         # Oracle: the sweep's own backward pass on the identity, whose
         # forward is W.T.
-        layer = make_tt_layer(out_m, in_m, ranks, seed=4, bias=False)
+        layer = make_tt_layer(out_m, in_m, ranks, seed=4)
         dwt = np.random.default_rng(8).standard_normal((layer.in_dim, layer.out_dim))
         _, eye_cache = layer.forward_cached(np.eye(layer.in_dim))
         layer.zero_grads()
@@ -281,7 +274,7 @@ class TestDenseView:
 
     @pytest.mark.parametrize("out_m,in_m,ranks", SPECS)
     def test_flush_matches_finite_differences(self, out_m, in_m, ranks):
-        layer = make_tt_layer(out_m, in_m, ranks, seed=6, bias=False)
+        layer = make_tt_layer(out_m, in_m, ranks, seed=6)
         proj = np.random.default_rng(9).standard_normal((layer.in_dim, layer.out_dim))
 
         def loss():
@@ -299,15 +292,13 @@ class TestParams:
     def test_param_dicts_are_live_views(self):
         rng = np.random.default_rng(0)
         tt = make_tt_layer((2, 3), (3, 2), (1, 2, 1))
-        tt_bare = make_tt_layer((2, 3, 2), (3, 2, 1), (1, 2, 2, 1), bias=False)
+        tt3 = make_tt_layer((2, 3, 2), (3, 2, 1), (1, 2, 2, 1))
         dense = DenseLinear.glorot(3, 4, rng)
         dense_bare = DenseLinear.glorot(3, 4, rng, bias=False)
         cases = [
             (tt, {"core0": (tt.tt.cores[0], tt.grad_cores[0]),
-                  "core1": (tt.tt.cores[1], tt.grad_cores[1]),
-                  "bias": (tt.bias, tt.grad_bias)}),
-            (tt_bare, {f"core{k}": (tt_bare.tt.cores[k], tt_bare.grad_cores[k])
-                       for k in range(3)}),
+                  "core1": (tt.tt.cores[1], tt.grad_cores[1])}),
+            (tt3, {f"core{k}": (tt3.tt.cores[k], tt3.grad_cores[k]) for k in range(3)}),
             (dense, {"weight": (dense.weight, dense.grad_weight),
                      "bias": (dense.bias, dense.grad_bias)}),
             (dense_bare, {"weight": (dense_bare.weight, dense_bare.grad_weight)}),
@@ -323,6 +314,6 @@ class TestParams:
 
     def test_param_count(self):
         layer = make_tt_layer((10, 10), (4, 8), (1, 5, 1))
-        assert layer.param_count() == 600 + 100
+        assert layer.param_count() == 600
         dense = DenseLinear.glorot(100, 32, np.random.default_rng(0))
         assert dense.param_count() == 3200 + 100

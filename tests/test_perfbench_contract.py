@@ -1,9 +1,10 @@
 """The benchmark in ``perfbench/`` reaches into ttrnn by name: its tracer
-wraps the callables in ``spans.TARGETS`` and its harness and worker import
-from the package. Each of those names must resolve against ``src/``, and
-the names wrapped where ``ttrnn.models`` binds them must be the ones a
-train step calls. The perfbench files are only parsed here, never
-imported or changed."""
+wraps the callables in ``spans.TARGETS``, its harness and worker import
+from the package and read attributes off each map they name ``layer``.
+Each of those names must resolve against ``src/`` (the attributes on every
+TT map of a built model), and the names wrapped where ``ttrnn.models``
+binds them must be the ones a train step calls. The perfbench files are
+only parsed here, never imported or changed."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from ttrnn import models
+from ttrnn.linear import TTLinear
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,6 +56,15 @@ def _ttrnn_names() -> list:
     return sorted(set(names), key=str)
 
 
+def _layer_attrs() -> list:
+    """Every attribute the harness and worker read off the name ``layer``,
+    which each binds to a map of a built model."""
+    return sorted({node.attr for file in ("harness.py", "worker.py")
+                   for node in ast.walk(_tree(file))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "layer"})
+
+
 def _is_module(dotted: str) -> bool:
     try:
         importlib.import_module(dotted)
@@ -89,6 +100,7 @@ def test_contract_is_not_empty():
     assert len(_span_targets()) >= 10
     files = {file for file, _, _ in _ttrnn_names()}
     assert files == {"harness.py", "worker.py"}
+    assert {"bias", "tt", "forward"} <= set(_layer_attrs())
 
 
 # The module-level names each model's loss_and_grads calls through
@@ -115,6 +127,17 @@ def _small_model(cls_name: str):
         return model, (x, mask, np.array([0, 2]))
     model = models.build_predictor(5, "srnn", 6, rng, **tt)
     return model, (x, mask, (rng.random((4, 2, 5)) > 0.5).astype(float))
+
+
+@pytest.mark.parametrize("attr", _layer_attrs())
+def test_layer_attribute_resolves_on_every_tt_map(attr):
+    # The harness's oracle gate reads ``layer.bias`` off every TT map: a
+    # missing attribute would fail the benchmark run, not a test.
+    model, _ = _small_model("SequenceClassifier")
+    tt_maps = [m for m in model.named_maps().values() if isinstance(m, TTLinear)]
+    assert tt_maps
+    for layer in tt_maps:
+        getattr(layer, attr)
 
 
 def test_traced_models_are_the_ones_checked():

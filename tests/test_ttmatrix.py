@@ -1,8 +1,6 @@
-"""TT matrix format: mode checks, densification, init, serialization."""
+"""TT matrix format: mode checks, densification, init."""
 
-import io
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -10,14 +8,12 @@ import pytest
 
 from ttrnn import (
     DENSE_CAP,
-    FormatError,
     ShapeError,
     SizeError,
     TTMatrix,
     TTSpec,
-    write_ttmatrix,
 )
-from ttrnn.ttmatrix import _parse_ttmatrix, check_dims
+from ttrnn.ttmatrix import check_dims
 
 
 def random_tt(out_modes, in_modes, ranks, seed=0):
@@ -233,74 +229,3 @@ class TestGlorot:
         for ga, gb in zip(a.cores, b.cores):
             np.testing.assert_array_equal(ga, gb)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        tt = random_tt((3, 4, 2), (2, 5, 3), (1, 2, 3, 1), seed=9)
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt)
-        back, bias = _parse_ttmatrix(buf.getvalue(), "buf")
-        assert bias is None
-        assert back.spec == tt.spec
-        for ga, gb in zip(back.cores, tt.cores):
-            np.testing.assert_array_equal(ga, gb)
-
-    def test_round_trip_with_bias(self):
-        tt = random_tt((3, 4), (2, 5), (1, 2, 1), seed=9)
-        bias = np.random.default_rng(0).standard_normal(12)
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt, bias)
-        back, bias2 = _parse_ttmatrix(buf.getvalue(), "buf")
-        np.testing.assert_array_equal(bias2, bias)
-        assert back.spec == tt.spec
-
-    def test_header_layout(self):
-        # Fixed layout: magic, then little-endian int64 d, out modes, in
-        # modes, ranks, bias flag, then float64 core payloads, then bias.
-        spec = TTSpec((2,), (3,), (1, 1))
-        tt = TTMatrix(spec, [np.arange(6.0).reshape(2, 3, 1, 1)])
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt, bias=np.array([9.0, 11.0]))
-        raw = buf.getvalue()
-        assert raw[:4] == b"TTM1"
-        header = np.frombuffer(raw[4:4 + 8 * 6], dtype="<i8")
-        np.testing.assert_array_equal(header, [1, 2, 3, 1, 1, 1])
-        payload = np.frombuffer(raw[4 + 8 * 6:], dtype="<f8")
-        np.testing.assert_array_equal(payload, list(np.arange(6.0)) + [9.0, 11.0])
-
-    def test_bad_magic(self):
-        with pytest.raises(FormatError):
-            _parse_ttmatrix(b"TTMX" + b"\x00" * 64, "buf")
-
-    def test_truncated(self):
-        tt = random_tt((2, 3), (4, 5), (1, 2, 1))
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt, bias=np.ones(6))
-        raw = buf.getvalue()
-        for cut in [2, 8, 40, len(raw) - 8]:
-            with pytest.raises(FormatError):
-                _parse_ttmatrix(raw[:cut], "buf")
-
-    def test_oversized_core_is_format_error(self):
-        # Mode 2**62 passes TTSpec, but the core's 8 * 2**62 bytes do not
-        # fit an index.
-        raw = b"TTM1" + struct.pack("<6q", 1, 2 ** 62, 1, 1, 1, 0)
-        with pytest.raises(FormatError, match="core 0"):
-            _parse_ttmatrix(raw, "buf")
-
-    def test_trailing_bytes(self):
-        tt = random_tt((2, 3), (4, 5), (1, 2, 1))
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt)
-        with pytest.raises(FormatError):
-            _parse_ttmatrix(buf.getvalue() + b"\x00", "buf")
-
-    def test_invalid_header_fields(self):
-        tt = random_tt((2, 3), (4, 5), (1, 2, 1))
-        buf = io.BytesIO()
-        write_ttmatrix(buf, tt)
-        raw = bytearray(buf.getvalue())
-        # Corrupt the first rank field (must be 1).
-        raw[4 + 8 * 5:4 + 8 * 6] = (7).to_bytes(8, "little", signed=True)
-        with pytest.raises(FormatError):
-            _parse_ttmatrix(bytes(raw), "buf")
