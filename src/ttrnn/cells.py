@@ -36,14 +36,15 @@ accumulated gradients into the cores when it is done.
 
 Training and inference run one step loop, ``_unroll``, and differ only in
 its ``cached`` switch. :func:`unroll` (training) keeps every step's cache
-for :func:`bptt`. Every TT map's caches, under either plan, are views into
-the map's workspace, which the next unroll of the cell (or a ``forward`` of
-the map) overwrites: :func:`bptt` on the caches of an older unroll raises
-:class:`ShapeError` before it touches any gradient, while running it
-twice on the current caches is fine. Inference (the models' ``forward``)
-keeps no cache: each step of a sweep-plan TT map leases and reuses slot 0
-of its workspace, and every step cache is dropped when the next step's
-arrives.
+for :func:`bptt`. Every view of a TT map, a sweep plan's lease or a dense
+plan's build, starts a new generation of the map, and a cache is valid
+until the next one: :func:`bptt` on the caches of an older unroll, after
+a later unroll of the cell or a ``forward`` of one of its TT maps, raises
+:class:`ShapeError` before it touches any gradient, while running it twice
+on the current caches is fine. Inference (the models' ``forward``) keeps
+no cache: each step of a sweep-plan TT map sweeps into its own one-slot
+lease, slot 0 of the map's workspace, and every step cache is dropped when
+the next step's arrives.
 """
 
 from __future__ import annotations

@@ -39,33 +39,34 @@ level, and the cores keep their ``(m, n, r_prev, r_next)`` layout.
 Each :class:`TTLinear` owns one workspace for the sweep's step outputs: a
 flat array that lives as long as the map, grows and never shrinks. It holds
 slots; slot t has one region per step but the last, of that step's output
-size in :meth:`TTSpec.sweep_shapes`. :meth:`TTLinear.lease` sizes the
-workspace for T slots at batch B, computes the schedule that the lease's
-sweeps read, and starts a new generation.
-``forward_cached(x, slot)`` sweeps into a slot of the current lease; a bare
-``forward_cached(x)`` (and so ``forward``) leases one slot at ``x``'s batch
-and sweeps into slot 0. Every cache holds views into the workspace stamped
-with the generation, and ``backward`` raises :class:`ShapeError` on a cache
-from an older one: a TT cache is valid until its map's next lease. Nothing
-a pass returns is a workspace view. Multi-MB fresh step outputs would be
-page faulted in on every call, a cost that grows faster than the map.
+size in :meth:`TTSpec.sweep_shapes`. A :class:`SweepView` is a lease of T
+slots at batch B: it sizes the workspace and computes the schedule and the
+core matrices once, for all of its sweeps. ``forward_cached(x, lease)``
+sweeps into the lease's next slot; a bare ``forward_cached(x)`` (and so
+``forward``) sweeps into a fresh one-slot lease at ``x``'s batch. A cache
+is ``(z_inputs, lease)``, its step inputs views into the workspace.
+
+Every view of a map, a lease or a dense build, starts a new generation of
+the map, and a cache is valid until the next one: ``backward`` raises
+:class:`ShapeError` on a cache from an older generation. Nothing a pass
+returns is a workspace view. Multi-MB fresh step outputs would be page
+faulted in on every call, a cost that grows faster than the map.
 
 A recurrent unroll applies each cell map T times to the same weights, so
 for small maps it pays to build the matrix once. :func:`execution_plan`
 picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
 
-* **sweep**: a :class:`SweepView`, which leases T slots of the map's
-  workspace at the unroll's batch and runs its t-th sweep into slot t
-  (for inference, the map itself, each sweep leasing slot 0);
+* **sweep**: a :class:`SweepView` of T slots at the unroll's batch, whose
+  t-th sweep runs into slot t (for inference, the map itself, each sweep
+  into its own one-slot lease);
 * **dense**: a :class:`DenseView`, which builds ``W.T`` from the cores by
   a chain of 2-D GEMMs, then costs one matmul per step, accumulates
   ``dW.T`` over the steps and projects it onto the core gradients by
   running the chain backwards in :meth:`DenseView.flush`. It runs no sweep
   of the map.
 
-Both views record the lease their caches were made at, and
-:meth:`LeasedView.check_current` tells whether it still holds; building a
-dense view starts a new generation of its map, as a lease does.
+Both views record the generation they started, and
+:meth:`LeasedView.check_current` tells whether it still holds.
 
 Both plans are exact: they contract the same cores in different orders,
 so they differ only in rounding. Over random specs with d = 1 to 4 the
@@ -229,12 +230,6 @@ class DenseLinear(LinearMap):
         return parts
 
 
-def _slot_size(shapes) -> int:
-    """Floats in one workspace slot: the outputs of every step but the last
-    in the schedule ``shapes``."""
-    return sum(rows * height * cols for rows, height, _, cols in shapes[:-1])
-
-
 # By direction (TTSpec.right_to_left): the core (m, n, r_prev, r_next) axes
 # in the order its sweep-step matrix enumerates them, rows then columns, and
 # the permutation back. Left to right the matrix is (m_k r_k, r_{k-1} n_k),
@@ -252,8 +247,9 @@ class TTLinear(LinearMap):
         self.out_dim, self.in_dim = tt.shape
         self.grad_cores = [np.zeros_like(g) for g in tt.cores]
         self.workspace = np.empty(0)  # the step outputs of leased sweeps
-        self._leased = (0, 0, [])  # (slots, batch, schedule) of the current lease
-        self._generation = 0  # bumped by every lease
+        # Bumped by every LeasedView. The map holds no view: a map <-> view
+        # cycle would keep discarded maps' workspaces until the cyclic GC.
+        self._generation = 0
 
     @classmethod
     def glorot(cls, spec: TTSpec, rng: np.random.Generator) -> "TTLinear":
@@ -274,7 +270,8 @@ class TTLinear(LinearMap):
         """The core sweep on checked ``x`` over the schedule ``shapes``:
         returns ``(y, z_inputs)``, the output and each step's input. Every
         step but the last writes into ``outs``, a workspace slot from
-        :meth:`_slot`; the last (``None`` there) returns a fresh array."""
+        :meth:`SweepView._take`; the last (``None`` there) returns a fresh
+        array."""
         z = x
         z_inputs = []
         for mat, (rows, _, width, cols), out in zip(mats, shapes, outs):
@@ -288,81 +285,44 @@ class TTLinear(LinearMap):
                 z = np.matmul(mat, z, out=out)
         return z.reshape(x.shape[0], self.out_dim), z_inputs
 
-    def lease(self, slots: int, batch: int):
-        """Make room in the workspace for ``slots`` sweeps of ``batch`` rows
-        and start a new generation, which makes every cache held in the
-        workspace stale."""
-        shapes = self.tt.spec.sweep_shapes(batch)
-        need = slots * _slot_size(shapes)
-        if self.workspace.size < need:
-            self.workspace = np.empty(need)
-        self._leased = (slots, batch, shapes)
-        self._new_generation()
-
-    def _new_generation(self):
-        """Start a new generation, which makes every cache of an earlier one
-        stale."""
-        self._generation += 1
-
-    def _slot(self, slot: int, shapes) -> list:
-        """Slot ``slot``'s step outputs for the lease's schedule ``shapes``:
-        views into the workspace for every step but the last, None for the
-        last."""
-        start = slot * _slot_size(shapes)
-        outs = []
-        for rows, height, _, cols in shapes[:-1]:
-            size = rows * height * cols
-            outs.append(self.workspace[start:start + size].reshape(rows, height, cols))
-            start += size
-        return outs + [None]
-
-    def forward_cached(self, x, slot=None):
-        """``(y, cache)``. The steps write into ``slot``, one of the current
-        lease's (see :meth:`lease`), and the cache holds views of it: it
-        goes stale at the next lease. Without ``slot`` the call leases one
-        slot at ``x``'s batch and writes into slot 0. ``y`` is a fresh
-        array; do not call one layer from two threads at once."""
+    def forward_cached(self, x, lease=None):
+        """``(y, cache)``. The steps write into the next slot of ``lease``, a
+        :class:`SweepView` of this map, and the cache holds views of it: it
+        goes stale when the map's next view starts. Without ``lease`` the
+        call sweeps into a fresh one-slot lease at ``x``'s batch. ``y`` is a
+        fresh array; do not call one layer from two threads at once."""
         x = _check_batch(x, self.in_dim, "input")
-        if slot is None:
-            slot = 0
-            self.lease(1, x.shape[0])
-        slots, batch, shapes = self._leased
-        if not 0 <= slot < slots or x.shape[0] != batch:
-            raise ShapeError(f"slot {slot} at batch {x.shape[0]} is outside the "
-                             f"lease of {slots} slots at batch {batch}")
-        mats = self._core_matrices()
-        y, z_inputs = self._sweep(x, mats, shapes, self._slot(slot, shapes))
-        return y, (mats, z_inputs, batch, self._generation)
+        if lease is None:
+            lease = SweepView(self, 1, x.shape[0])
+        y, z_inputs = self._sweep(x, lease.mats, lease.shapes, lease._take(x.shape[0]))
+        return y, (z_inputs, lease)
 
     def backward(self, grad_out, cache):
         grad_out = _check_batch(grad_out, self.out_dim, "grad_out")
         spec = self.tt.spec
-        mats, z_inputs, b, generation = cache
-        if grad_out.shape[0] != b:
-            raise ShapeError(
-                f"grad_out batch {grad_out.shape[0]} does not match cached batch {b}"
-            )
-        if generation != self._generation:
-            raise ShapeError("stale cache: the map's workspace was leased again "
-                             "(by a later unroll or forward) since it was made")
-        shapes = self._leased[2]  # the cache's own lease, as checked above
+        z_inputs, lease = cache
+        if grad_out.shape[0] != lease.batch:
+            raise ShapeError(f"grad_out batch {grad_out.shape[0]} does not match "
+                             f"cached batch {lease.batch}")
+        lease.check_current()
         axes, back = _MATRIX_AXES[spec.right_to_left]
         dz = grad_out
         for step, k in reversed(list(enumerate(spec.sweep_order()))):
             # Gradient wrt the step's output, shaped like that output.
-            rows, height, _, cols = shapes[step]
+            rows, height, _, cols = lease.shapes[step]
+            mat = lease.mats[step]
             core_shape = spec.core_shape(k)
             if cols == 1:
                 dout = dz.reshape(rows, height)
                 dmat = dout.T @ z_inputs[step][:, :, 0]
-                dz = dout @ mats[step]
+                dz = dout @ mat
             else:
                 dout = dz.reshape(rows, height, cols)
                 dmat = np.tensordot(dout, z_inputs[step], axes=((0, 2), (0, 2)))
-                dz = np.matmul(mats[step].T, dout)
+                dz = np.matmul(mat.T, dout)
             dmat = dmat.reshape([core_shape[a] for a in axes])
             self.grad_cores[k] += dmat.transpose(back)
-        return dz.reshape(b, self.in_dim)
+        return dz.reshape(lease.batch, self.in_dim)
 
     def parts(self):
         pairs = enumerate(zip(self.tt.cores, self.grad_cores))
@@ -389,20 +349,22 @@ def takes_dense_plan(spec: TTSpec) -> bool:
 
 
 class LeasedView:
-    """A TT map as one unroll runs it, made at one generation of the map:
-    a lease of its workspace, whose views a sweep plan's caches hold, or a
-    dense plan's build."""
+    """A TT map as one unroll (or one bare call) runs it: a lease of its
+    workspace, whose views a sweep plan's caches hold, or a dense plan's
+    build. Making one starts a new generation of the map, which makes the
+    caches of every earlier view stale."""
 
     def __init__(self, layer: TTLinear):
+        layer._generation += 1
         self.layer = layer
-        self.generation = layer._generation  # of the lease or build just made
+        self.generation = layer._generation
 
     def check_current(self):
         """Raise :class:`ShapeError` if the map started a new generation
         since."""
         if self.layer._generation != self.generation:
-            raise ShapeError("stale unroll: a later unroll or forward reused "
-                             "the workspace of its TT maps")
+            raise ShapeError("stale cache: a later unroll or forward of its TT "
+                             "map has started a new generation since")
 
 
 class DenseView(LeasedView):
@@ -427,7 +389,6 @@ class DenseView(LeasedView):
     """
 
     def __init__(self, layer: TTLinear):
-        layer._new_generation()  # the caches of earlier leases go stale
         super().__init__(layer)
         spec = layer.tt.spec
         # Each core (m, n, r_prev, r_next) as its (r_prev, n m r_next) matrix.
@@ -479,19 +440,42 @@ class DenseView(LeasedView):
 
 
 class SweepView(LeasedView):
-    """A sweep-plan :class:`TTLinear` leased for one unroll of ``steps``
-    steps at ``batch`` rows: the t-th ``forward_cached`` runs the map's own
-    sweep into workspace slot t, and ``backward`` is the map's."""
+    """A sweep-plan :class:`TTLinear` leased for ``slots`` sweeps at
+    ``batch`` rows. Making it sizes the map's workspace for them and
+    computes the schedule ``shapes`` and the core matrices ``mats`` that
+    they share; the t-th ``forward_cached`` runs the map's sweep into
+    workspace slot t, and ``backward`` is the map's."""
 
-    def __init__(self, layer: TTLinear, steps: int, batch: int):
-        layer.lease(steps, batch)
+    def __init__(self, layer: TTLinear, slots: int, batch: int):
         super().__init__(layer)
+        self.slots, self.batch = slots, batch
+        self.shapes = layer.tt.spec.sweep_shapes(batch)
+        self.mats = layer._core_matrices()
+        # Floats per slot: the outputs of every step but the last.
+        self._size = sum(n * height * cols for n, height, _, cols in self.shapes[:-1])
+        if layer.workspace.size < slots * self._size:
+            layer.workspace = np.empty(slots * self._size)
         self._next = 0
 
-    def forward_cached(self, x):
-        slot = self._next
+    def _take(self, rows: int) -> list:
+        """The next slot's step outputs for a sweep of ``rows`` rows: views
+        into the workspace for every step but the last, None for the
+        last."""
+        self.check_current()
+        if self._next >= self.slots or rows != self.batch:
+            raise ShapeError(f"sweep {self._next + 1} at batch {rows} is outside "
+                             f"the lease of {self.slots} sweeps at batch {self.batch}")
+        start = self._next * self._size
         self._next += 1
-        return self.layer.forward_cached(x, slot)
+        outs = []
+        for n, height, _, cols in self.shapes[:-1]:
+            size = n * height * cols
+            outs.append(self.layer.workspace[start:start + size].reshape(n, height, cols))
+            start += size
+        return outs + [None]
+
+    def forward_cached(self, x):
+        return self.layer.forward_cached(x, self)
 
     def backward(self, grad_out, cache):
         return self.layer.backward(grad_out, cache)

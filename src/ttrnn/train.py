@@ -242,16 +242,16 @@ def parse_runlog(path) -> list:
     return records
 
 
-def train_run(cfg: TrainConfig, out_dir=None, echo=None) -> dict:
+def train_run(cfg: TrainConfig, echo=None) -> dict:
     """Train per config; returns a summary dict.
 
-    Artifacts land in ``out_dir`` (default ``cfg.out_dir``): the resolved
-    config, the run log, and ``best.ttcp``/``last.ttcp`` checkpoints. With
-    ``epochs = 0`` only the model report (and an untrained checkpoint for
-    inspection) is produced. A non-finite loss or gradient norm aborts with a
-    diagnostic before the weights are touched.
+    Artifacts land in ``cfg.out_dir``: the resolved config, the run log,
+    and ``best.ttcp``/``last.ttcp`` checkpoints. With ``epochs = 0`` only
+    the model report (and an untrained checkpoint for inspection) is
+    produced. A non-finite loss or gradient norm aborts with a diagnostic
+    before the weights are touched.
     """
-    out_dir = cfg.out_dir if out_dir is None else out_dir
+    out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     cfg_text = cfg.to_text()
     digest = cfg.digest()

@@ -1,13 +1,16 @@
 """Recurrent cells and BPTT: reference transcriptions of the update
 equations, finite-difference checks over a full unroll, mask semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import DenseLinear, ShapeError, TTLinear, TTSpec, linear
 from ttrnn.cells import GRUCell, SRNNCell, _unroll, bptt, sigmoid, unroll
-from ttrnn.linear import DenseView
+from ttrnn.linear import DenseView, SweepView
 from ttrnn.models import make_cell
 from ttrnn.tasks import cell_param_count
 
@@ -656,7 +659,7 @@ class TestSweepWorkspace:
                     _, cache = m.forward_cached(np.ones((batch, m.in_dim)))
                     assert m.workspace is workspace
                     assert m.workspace.ctypes.data == address
-                    for z in cache[1][1:]:
+                    for z in cache[0][1:]:
                         assert np.shares_memory(z, workspace)
                     m.backward(np.ones((batch, m.out_dim)), cache)
             return held
@@ -676,17 +679,17 @@ class TestSweepWorkspace:
 
     @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
     def test_inference_asks_for_no_cache(self, factory, monkeypatch):
-        # Inference keeps no step cache, and each step leases one slot of
-        # its map's workspace where an unroll leases T.
+        # Inference keeps no step cache, and each step sweeps into a lease
+        # of one slot of its map's workspace where an unroll leases T.
         force_plan(monkeypatch, "sweep")
         leases = []
-        real = TTLinear.lease
+        real = SweepView.__init__
 
-        def counted(self, slots, batch):
-            leases.append((self, slots, batch))
-            return real(self, slots, batch)
+        def counted(self, layer, slots, batch):
+            leases.append((layer, slots, batch))
+            return real(self, layer, slots, batch)
 
-        monkeypatch.setattr(TTLinear, "lease", counted)
+        monkeypatch.setattr(SweepView, "__init__", counted)
         cell = factory(seed=6)
         x_seq, mask, _ = masked_inputs(cell)
         steps, batch = x_seq.shape[:2]
@@ -700,6 +703,45 @@ class TestSweepWorkspace:
         assert [lease[1:] for lease in leases] == [(steps, batch)] * len(tt_maps(cell))
         np.testing.assert_array_equal(h_inf, h_seq)
 
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_an_unroll_builds_each_maps_core_matrices_once(self, factory, monkeypatch):
+        # A lease computes the core matrices for all of its sweeps, and the
+        # backward passes read them off it.
+        force_plan(monkeypatch, "sweep")
+        built = []
+        real = TTLinear._core_matrices
+
+        def counted(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(TTLinear, "_core_matrices", counted)
+        cell = factory(seed=5)
+        x_seq, mask, proj_seq = masked_inputs(cell)
+        _, caches = unroll(cell, x_seq, mask=mask)
+        bptt(cell, caches, grad_h_seq=proj_seq)
+        assert sorted(map(id, built)) == sorted(map(id, tt_maps(cell)))
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("factory", [tt_srnn, tt_gru], ids=lambda f: f.__name__)
+    def test_maps_are_freed_by_reference_counting(self, factory, plan, monkeypatch):
+        # A map never holds its views, so no map <-> view cycle keeps a
+        # dropped cell's workspaces alive until the cyclic collector runs.
+        force_plan(monkeypatch, plan)
+        gc.disable()
+        try:
+            cell = factory(seed=4)
+            x_seq, mask, proj_seq = masked_inputs(cell)
+            _, caches = unroll(cell, x_seq, mask=mask)
+            bptt(cell, caches, grad_h_seq=proj_seq)
+            _unroll(cell, x_seq, mask, cached=False)
+            workspaces = [weakref.ref(m.workspace) for m in tt_maps(cell)]
+            assert workspaces
+            del cell, caches
+            assert all(ref() is None for ref in workspaces)
+        finally:
+            gc.enable()
+
     def test_right_to_left_first_step_writes_into_the_slot(self):
         # tt_srnn's wx (3x2 by 2x3) sweeps core 1 first; that step has one
         # column per block (Q = 1), yet only the last step's output is fresh.
@@ -708,10 +750,11 @@ class TestSweepWorkspace:
         shapes = wx.tt.spec.sweep_shapes(3)
         assert shapes[0][3] == 1 and shapes[-1][3] > 1
         x = np.random.default_rng(0).standard_normal((3, wx.in_dim))
-        wx.lease(2, 3)
-        y, cache = wx.forward_cached(x, 1)
-        _, z_inputs, _, _ = cache
-        size = linear._slot_size(shapes)
+        lease = SweepView(wx, 2, 3)
+        lease.forward_cached(np.zeros_like(x))  # slot 0
+        y, cache = lease.forward_cached(x)
+        z_inputs, _ = cache
+        size = sum(rows * height * cols for rows, height, _, cols in shapes[:-1])
         slot = wx.workspace[size:2 * size]
         assert not np.shares_memory(z_inputs[0], wx.workspace)  # x itself
         assert np.shares_memory(z_inputs[1], slot)  # step 0's output

@@ -6,7 +6,7 @@ import pytest
 
 from fdcheck import assert_grads_close, numeric_grad
 from ttrnn import DenseLinear, ShapeError, TTLinear, TTMatrix, TTSpec
-from ttrnn.linear import DenseView
+from ttrnn.linear import DenseView, SweepView
 
 
 def make_tt_layer(out_modes, in_modes, ranks, seed=0):
@@ -149,8 +149,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         xs = [rng.standard_normal((2, 6)) for _ in range(3)]
         gs = [rng.standard_normal((2, 6)) for _ in range(3)]
-        layer.lease(3, 2)
-        caches = [layer.forward_cached(x, t)[1] for t, x in enumerate(xs)]
+        lease = SweepView(layer, 3, 2)
+        caches = [lease.forward_cached(x)[1] for x in xs]
         layer.zero_grads()
         for g, cache in zip(reversed(gs), reversed(caches)):
             layer.backward(g, cache)
@@ -165,7 +165,8 @@ class TestBackward:
 
 
 class TestWorkspace:
-    """Slot-backed caches: ``lease`` then ``forward_cached(x, slot)``."""
+    """Slot-backed caches: a ``SweepView`` lease, then its
+    ``forward_cached(x)``."""
 
     SPEC = ((3, 4, 2), (2, 5, 3), (1, 2, 3, 1))
 
@@ -177,8 +178,8 @@ class TestWorkspace:
         xs = rng.standard_normal((3, 4, layer.in_dim))
         gs = rng.standard_normal((3, 4, layer.out_dim))
         layer.zero_grads()
-        layer.lease(3, 4)
-        outs = [layer.forward_cached(x, t) for t, x in enumerate(xs)]
+        lease = SweepView(layer, 3, 4)
+        outs = [lease.forward_cached(x) for x in xs]
         slotted = ([y for y, _ in outs],
                    [layer.backward(g, cache) for g, (_, cache) in zip(gs, outs)],
                    [g.copy() for g in layer.grads().values()])
@@ -204,7 +205,7 @@ class TestWorkspace:
 
         def lease_again():
             if again == "lease":
-                layer.lease(2, 3)
+                SweepView(layer, 2, 3)
             else:
                 layer.forward(xs[0])
 
@@ -216,12 +217,14 @@ class TestWorkspace:
             for a, b in zip(before, layer.grads().values()):
                 np.testing.assert_array_equal(a, b)
 
-        layer.lease(2, 3)
-        caches = [layer.forward_cached(x, t)[1] for t, x in enumerate(xs)]
+        lease = SweepView(layer, 3, 3)  # a slot to spare for the last check
+        caches = [lease.forward_cached(x)[1] for x in xs]
         for cache in caches[::-1] * 2:  # replaying a current lease is fine
             layer.backward(g, cache)
         lease_again()
         assert_stale(caches)
+        with pytest.raises(ShapeError, match="stale"):  # nor sweeps into it
+            lease.forward_cached(xs[0])
         # A bare forward_cached leases one slot: the same rule holds.
         _, cache = layer.forward_cached(xs[0])
         layer.backward(g, cache)
@@ -229,11 +232,15 @@ class TestWorkspace:
         assert_stale([cache])
 
     def test_slot_outside_the_lease_raises(self):
+        # A third sweep into a lease of two, or a sweep at the wrong batch.
         layer = make_tt_layer(*self.SPEC)
-        layer.lease(2, 3)
-        for slot, batch in ((2, 3), (-1, 3), (0, 4)):
-            with pytest.raises(ShapeError, match="outside the lease"):
-                layer.forward_cached(np.zeros((batch, layer.in_dim)), slot)
+        lease = SweepView(layer, 2, 3)
+        with pytest.raises(ShapeError, match="outside the lease"):
+            lease.forward_cached(np.zeros((4, layer.in_dim)))
+        for _ in range(2):
+            lease.forward_cached(np.zeros((3, layer.in_dim)))
+        with pytest.raises(ShapeError, match="outside the lease"):
+            lease.forward_cached(np.zeros((3, layer.in_dim)))
 
 
 class TestDenseView:
