@@ -45,6 +45,18 @@ on the current caches is fine. Inference (the models' ``forward``) keeps
 no cache: each step of a sweep-plan TT map sweeps into its own one-slot
 lease, slot 0 of the map's workspace, and every step cache is dropped when
 the next step's arrives.
+
+An unroll allocates the arrays that outlive a step once: ``h_seq``, into
+which each step writes ``h_t`` (unmasked) or the blended state (masked),
+and one block of shape ``(T, len(cell.KEPT), B, H)`` whose row t takes the
+cell's kept arrays of step t (the GRU's ``z``, ``c``, ``r`` and ``s``; the
+SRNN keeps none). Each goes there through the ``out=`` of the operation
+that makes it, so no copy is added and the bits are those of fresh arrays.
+The caches then hold views of ``h_seq``, the block, the input and the TT
+workspaces, and a train step allocates no array that outlives it, so the
+allocator is not left to return and fault in again megabytes of step
+arrays on every step. Inference shares one row of the block over all steps.
+``Cell.step`` gives its one step fresh arrays.
 """
 
 from __future__ import annotations
@@ -61,14 +73,15 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _sigmoid_in_place(a):
-    """:func:`sigmoid` of the float array ``a``, written over it and
-    returned; the same operations in the same order, so the same bits."""
-    a *= 0.5
-    np.tanh(a, out=a)
-    a += 1.0
-    a *= 0.5
-    return a
+def _sigmoid_into(a, out):
+    """:func:`sigmoid` of the float array ``a``, written into ``out`` (which
+    may be ``a``) and returned; the same operations in the same order, so
+    the same bits."""
+    np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 class Cell(Composite):
@@ -77,18 +90,22 @@ class Cell(Composite):
     kind: str  # "srnn" or "gru", as configs and reports name it
     input_dim: int
     hidden_dim: int
+    KEPT = ()  # the (B, H) arrays a step's cache keeps besides h_t and h_prev
 
     def step(self, x_t, h_prev):
         """One unmasked timestep: returns ``(h_t, cache)``."""
         x_t = _check_batch(x_t, self.input_dim, "x_t")
         h_prev = _check_batch(h_prev, self.hidden_dim, "h_prev")
-        return self._step(self.named_maps(), x_t, h_prev)
+        kept = np.empty((len(self.KEPT),) + h_prev.shape)
+        return self._step(self.named_maps(), x_t, h_prev, None, kept)
 
-    def _step(self, maps, x_t, h_prev):
+    def _step(self, maps, x_t, h_prev, h_out, kept):
         """The gate equations on checked (B, D) and (B, H) arrays. ``h_prev``
         None is the zero initial state: the step then skips every hidden map
         and whatever else only multiplies the state, whose results are exact
-        zeros."""
+        zeros. ``h_t`` is written into ``h_out`` (a fresh array when None),
+        and the arrays named in ``KEPT`` into the rows of ``kept``, a
+        ``(len(KEPT), B, H)`` array."""
         raise NotImplementedError
 
     def _step_backward(self, maps, grad_h, cache):
@@ -118,13 +135,13 @@ class SRNNCell(Cell):
         self.bias = _check_bias(bias, self.hidden_dim)
         self.grad_bias = np.zeros_like(self.bias)
 
-    def _step(self, maps, x_t, h_prev):
+    def _step(self, maps, x_t, h_prev, h_out, kept):
         a, cx = maps["wx"].forward_cached(x_t)
         ch = None
         if h_prev is not None:
             ah, ch = maps["wh"].forward_cached(h_prev)
             a = a + ah
-        h_t = np.tanh(a + self.bias)
+        h_t = np.tanh(a + self.bias, out=h_out)
         return h_t, (cx, ch, h_t)
 
     def _step_backward(self, maps, grad_h, cache):
@@ -151,6 +168,7 @@ class GRUCell(Cell):
 
     kind = "gru"
     GATES = ("r", "z", "h")
+    KEPT = ("z", "c", "r", "s")
 
     def __init__(self, wx: dict, wh: dict, biases: dict):
         for group, maps in (("wx", wx), ("wh", wh)):
@@ -173,34 +191,35 @@ class GRUCell(Cell):
                      for g in self.GATES}
         self.grad_bias = {g: np.zeros_like(b) for g, b in self.bias.items()}
 
-    def _step(self, maps, x_t, h_prev):
-        # In place in the maps' fresh outputs: r, z and c end up in ar, az
-        # and ac.
+    def _step(self, maps, x_t, h_prev, h_out, kept):
+        # In place in the maps' fresh outputs until a gate's value is made:
+        # z, c, r and s go into their rows of kept.
+        z, c, r, s = kept
         az, cxz = maps["wxz"].forward_cached(x_t)
         ac, cxh = maps["wxh"].forward_cached(x_t)
         if h_prev is None:
             # From the zero state every hidden map gives 0, and so does
             # r_t * h_prev whatever r_t is: no reset gate, and h_t = z_t * c_t.
             az += self.bias["z"]
-            z = _sigmoid_in_place(az)
+            _sigmoid_into(az, z)
             ac += self.bias["h"]
-            c = np.tanh(ac, out=ac)
-            return z * c, (cxz, cxh, z, c, None)
+            np.tanh(ac, out=c)
+            return np.multiply(z, c, out=h_out), (cxz, cxh, z, c, None)
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
         ar += br
         ar += self.bias["r"]
-        r = _sigmoid_in_place(ar)
+        _sigmoid_into(ar, r)
         bz, chz = maps["whz"].forward_cached(h_prev)
         az += bz
         az += self.bias["z"]
-        z = _sigmoid_in_place(az)
-        s = r * h_prev
+        _sigmoid_into(az, z)
+        np.multiply(r, h_prev, out=s)
         bc, chh = maps["whh"].forward_cached(s)
         ac += bc
         ac += self.bias["h"]
-        c = np.tanh(ac, out=ac)
-        h_t = np.subtract(1.0, z)
+        np.tanh(ac, out=c)
+        h_t = np.subtract(1.0, z, out=h_out)
         h_t *= h_prev
         h_t += np.multiply(z, c, out=bz)
         return h_t, (cxz, cxh, z, c, (cxr, chr_, chz, chh, r, h_prev))
@@ -274,13 +293,18 @@ def _unroll(cell: Cell, x_seq, mask, cached: bool):
         mask = None if np.all(mask == 1.0) else mask.reshape(n_steps, batch, 1)
     maps = execution_plan(cell.named_maps(), n_steps, batch, cached)
     h_seq = np.empty((n_steps, batch, cell.hidden_dim))
+    # Row t of the block takes step t's kept arrays (module docstring).
+    block = np.empty((n_steps if cached else 1, len(cell.KEPT), batch,
+                      cell.hidden_dim))
     step_caches = []
     h = np.zeros((batch, cell.hidden_dim))
     for t in range(n_steps):
         # Step 0 runs from the zero state, which it is told as None.
-        h_new, cache = cell._step(maps, x_seq[t], h if t else None)
-        h = h_new if mask is None else mask[t] * h_new + (1.0 - mask[t]) * h
-        h_seq[t] = h
+        h_new, cache = cell._step(maps, x_seq[t], h if t else None,
+                                  h_seq[t] if mask is None else None,
+                                  block[t if cached else 0])
+        h = h_new if mask is None else np.add(mask[t] * h_new,
+                                              (1.0 - mask[t]) * h, out=h_seq[t])
         if cached:
             step_caches.append(cache)
     return h_seq, (maps, step_caches, mask, h_seq.shape)

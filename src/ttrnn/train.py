@@ -119,8 +119,14 @@ def load_task_data(cfg: TrainConfig) -> dict:
             "val": val, "val_labels": val_labels}
 
 
-def _batch_task(cfg: TrainConfig) -> str:
-    return "classify" if cfg.is_classification() else "predict"
+def _batches(cfg: TrainConfig, sequences, labels, shuffle_seed=None):
+    """``sequences`` in batches of ``cfg.batch_size`` for the config's
+    task; a batch divides pixel bytes by 255 when it runs, notes by 1."""
+    classify = cfg.is_classification()
+    return D.make_batches(sequences, "classify" if classify else "predict",
+                          cfg.batch_size, shuffle_seed=shuffle_seed,
+                          labels=labels,
+                          divisor=D.PIXEL_DIVISOR if classify else 1.0)
 
 
 def _batch_view(batch: D.SequenceBatch, classify: bool):
@@ -192,6 +198,17 @@ def evaluate(model, batches, classify: bool):
     return loss, pooled_frame_accuracy(counts)
 
 
+def _grad_stats(norms, clip_norm: float) -> dict:
+    """An epoch's gradient diagnostics from its batches' pre-clip global
+    norms: their mean and maximum, and ``clip_frac``, the share of batches
+    whose norm exceeds ``clip_norm`` (0 when ``clip_norm`` is 0, which
+    clips nothing)."""
+    clipped = sum(norm > clip_norm for norm in norms) if clip_norm > 0.0 else 0
+    return {"grad_norm_mean": sum(norms) / len(norms),
+            "grad_norm_max": max(norms),
+            "clip_frac": clipped / len(norms)}
+
+
 class RunLog:
     """Append-only key-value text log, open for one ``with`` block.
 
@@ -246,7 +263,8 @@ def train_run(cfg: TrainConfig, echo=None) -> dict:
     """Train per config; returns a summary dict.
 
     Artifacts land in ``cfg.out_dir``: the resolved config, the run log,
-    and ``best.ttcp``/``last.ttcp`` checkpoints. With ``epochs = 0`` only
+    and ``best.ttcp``/``last.ttcp`` checkpoints, ``last.ttcp`` rewritten
+    after every epoch. With ``epochs = 0`` only
     the model report (and an untrained checkpoint for inspection) is
     produced. A non-finite loss or gradient norm aborts with a diagnostic
     before the weights are touched.
@@ -286,15 +304,14 @@ def train_run(cfg: TrainConfig, echo=None) -> dict:
         best_val, best_epoch = np.inf, 0
         for epoch in range(1, cfg.epochs + 1):
             start = time.monotonic()
-            batches = D.make_batches(dataset["train"], _batch_task(cfg),
-                                     cfg.batch_size,
-                                     shuffle_seed=cfg.seed_data + epoch,
-                                     labels=dataset["train_labels"])
+            batches = _batches(cfg, dataset["train"], dataset["train_labels"],
+                               shuffle_seed=cfg.seed_data + epoch)
             loss_sum = weight_sum = 0.0
+            norms = []
             for i, batch in enumerate(batches):
                 try:
-                    loss, weight, _ = train_step(model, optimizer, batch,
-                                                 classify, cfg.clip_norm)
+                    loss, weight, norm = train_step(model, optimizer, batch,
+                                                    classify, cfg.clip_norm)
                 except NumericError as e:
                     what, _, hint = str(e).partition("; ")
                     where = f"{what} at epoch {epoch} batch {i}"
@@ -302,9 +319,11 @@ def train_run(cfg: TrainConfig, echo=None) -> dict:
                     raise NumericError(f"{where}; {hint}") from None
                 loss_sum += loss * weight
                 weight_sum += weight
+                norms.append(norm)
             rec = {"epoch": epoch, "train_loss": loss_sum / weight_sum}
             rec["val_loss"], rec["val_metric"] = evaluate(model, val_batches,
                                                           classify)
+            rec.update(_grad_stats(norms, cfg.clip_norm))
             wall = time.monotonic() - start
             say(log.record(**{"epoch": epoch, "hash": digest, **rec},
                            wall_s=round(wall, 3)))
@@ -314,16 +333,15 @@ def train_run(cfg: TrainConfig, echo=None) -> dict:
                 best_val, best_epoch = rec["val_loss"], epoch
                 save_checkpoint(best_path, model, cfg_text,
                                 optimizer=optimizer, meta=meta)
+            save_checkpoint(last_path, model, cfg_text, optimizer=optimizer,
+                            meta=meta)
             if cfg.early_stop and epoch - best_epoch >= cfg.patience:
                 log.comment(f"early stop at epoch {epoch}; best epoch {best_epoch}")
                 break
-        save_checkpoint(last_path, model, cfg_text, optimizer=optimizer,
-                        meta=meta)
         log.comment(f"best epoch {best_epoch} val_loss {best_val!r}")
     return {**summary, "last_path": last_path}
 
 
 def make_eval_batches(cfg: TrainConfig, sequences, labels):
     """Fixed-order batches for evaluation (no shuffling)."""
-    return D.make_batches(sequences, _batch_task(cfg), cfg.batch_size,
-                          shuffle_seed=None, labels=labels)
+    return _batches(cfg, sequences, labels)

@@ -11,12 +11,11 @@ from ttrnn.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, NOTE_LOW,
 
 
 def write_idx(images_path, labels_path, dataset: ImageDataset) -> None:
-    """The IDX pair ``ttrnn.data.read_idx`` reads back as ``dataset``;
-    pixels are rounded to bytes."""
+    """The IDX pair ``ttrnn.data.read_idx`` reads back as ``dataset``."""
     count, rows, cols = dataset.images.shape
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(np.rint(dataset.images * 255.0).astype(np.uint8).tobytes())
+        fh.write(dataset.images.tobytes())
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
         fh.write(dataset.labels.astype(np.uint8).tobytes())
@@ -47,9 +46,8 @@ def striped_images(n: int, seed: int = 0, classes: int = 10) -> ImageDataset:
         r0 = 2 * int(k)
         images[i, r0 : r0 + 2, :] += 0.7
     images = np.clip(images, 0.0, 1.0)
-    # Round to byte precision so IDX round-trips are exact.
-    images = np.rint(images * 255.0) / 255.0
-    return ImageDataset(images, labels.astype(np.int64))
+    return ImageDataset(np.rint(images * 255.0).astype(np.uint8),
+                        labels.astype(np.int64))
 
 
 def write_idx_fixture(dir_path, n: int, seed: int = 0, classes: int = 10):
@@ -77,7 +75,7 @@ def noise_images(n: int, seed: int = 0, classes: int = 10) -> ImageDataset:
     untrained network should report.
     """
     rng = np.random.default_rng(seed)
-    images = np.rint(rng.uniform(0.0, 1.0, size=(n, 28, 28)) * 255.0) / 255.0
+    images = np.rint(rng.uniform(0.0, 1.0, size=(n, 28, 28)) * 255.0).astype(np.uint8)
     labels = rng.integers(0, classes, size=n).astype(np.int64)
     return ImageDataset(images, labels)
 

@@ -768,13 +768,14 @@ class TranscribedGRU(GRUCell):
     """The GRU's gate math out of place, a fresh array for every operation:
     the reference that GRUCell's in-place math must match bit for bit."""
 
-    def _step(self, maps, x_t, h_prev):
+    def _step(self, maps, x_t, h_prev, h_out, kept):
+        # kept goes unused; h_t lands where the unroll asks for it.
         az, cxz = maps["wxz"].forward_cached(x_t)
         ac, cxh = maps["wxh"].forward_cached(x_t)
         if h_prev is None:
             z = sigmoid(az + self.bias["z"])
             c = np.tanh(ac + self.bias["h"])
-            return z * c, (cxz, cxh, z, c, None)
+            return np.multiply(z, c, out=h_out), (cxz, cxh, z, c, None)
         ar, cxr = maps["wxr"].forward_cached(x_t)
         br, chr_ = maps["whr"].forward_cached(h_prev)
         r = sigmoid(ar + br + self.bias["r"])
@@ -783,7 +784,7 @@ class TranscribedGRU(GRUCell):
         s = r * h_prev
         bc, chh = maps["whh"].forward_cached(s)
         c = np.tanh(ac + bc + self.bias["h"])
-        h_t = (1.0 - z) * h_prev + z * c
+        h_t = np.add((1.0 - z) * h_prev, z * c, out=h_out)
         return h_t, (cxz, cxh, z, c, (cxr, chr_, chz, chh, r, h_prev))
 
     def _step_backward(self, maps, grad_h, cache):
@@ -858,3 +859,73 @@ class TestInPlaceGateMath:
             # Compared as integers, so even the sign of a zero must match.
             np.testing.assert_array_equal(a.view(np.int64), want[key].view(np.int64),
                                           err_msg=key)
+
+    @pytest.mark.parametrize("factory", [dense_gru, tt_gru], ids=lambda f: f.__name__)
+    def test_step_same_bits_as_the_transcription(self, factory):
+        # Cell.step gives its one step fresh arrays.
+        cell = factory(seed=8)
+        transcribed = factory(seed=8)
+        transcribed.__class__ = TranscribedGRU
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, cell.input_dim))
+        h = rng.standard_normal((3, cell.hidden_dim))
+        got, cache = cell.step(x, h)
+        want, want_cache = transcribed.step(x, h)
+        kept = [cache[2], cache[3], cache[4][4]]  # z, c, r
+        for a, b in zip([got] + kept, [want, want_cache[2], want_cache[3],
+                                       want_cache[4][4]]):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestUnrollBlock:
+    """An unroll writes each step's h_t (or blended state) into h_seq and
+    the GRU's z, c, r and s into row t of one block, so a training step's
+    cache holds views of the unroll's arrays and no array of its own."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("factory, plan", [
+        (dense_gru, None), (tt_gru, "dense"), (tt_gru, "sweep"),
+    ], ids=["dense_gru", "tt_gru-dense", "tt_gru-sweep"])
+    def test_gru_caches_hold_views_of_the_unroll(self, factory, plan, masked,
+                                                 monkeypatch):
+        if plan is not None:
+            force_plan(monkeypatch, plan)
+        cell = factory(seed=3)
+        x_seq, mask, _ = masked_inputs(cell)
+        h_seq, (_, step_caches, _, _) = unroll(cell, x_seq,
+                                               mask=mask if masked else None)
+        steps, batch = x_seq.shape[:2]
+        block = step_caches[0][2].base
+        assert block.shape == (steps, len(GRUCell.KEPT), batch, cell.hidden_dim)
+        owners = [x_seq, h_seq, block] + [m.workspace for m in tt_maps(cell)]
+        for t, cache in enumerate(step_caches):
+            _, _, z, c, hidden = cache
+            assert np.shares_memory(z, block[t, 0])
+            assert np.shares_memory(c, block[t, 1])
+            if hidden is not None:
+                _, _, _, chh, r, h_prev = hidden
+                assert np.shares_memory(r, block[t, 2])
+                s = next(arrays_in(chh))  # the input whh read
+                assert np.shares_memory(s, block[t, 3])
+                assert np.shares_memory(h_prev, h_seq[t - 1])
+            for a in arrays_in(cache):
+                assert any(np.shares_memory(a, o) for o in owners), (t, a.shape)
+
+    @pytest.mark.parametrize("factory", ALL_CELLS, ids=lambda f: f.__name__)
+    def test_unmasked_steps_write_h_t_into_h_seq(self, factory, monkeypatch):
+        force_plan(monkeypatch, "sweep")
+        cell = factory(seed=2)
+        x_seq, _, _ = masked_inputs(cell)
+        returned = []
+        real = type(cell)._step
+
+        def recorded(self, *args):
+            out = real(self, *args)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(type(cell), "_step", recorded)
+        h_seq, _ = unroll(cell, x_seq)
+        assert len(returned) == x_seq.shape[0]
+        for t, h_t in enumerate(returned):
+            assert h_t.base is h_seq and np.shares_memory(h_t, h_seq[t])

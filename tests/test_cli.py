@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ttrnn
 from synthdata import (striped_images, write_array_record_checkpoint,
                        write_idx, write_idx_fixture,
                        write_idx_header_fixture, write_noise_idx_fixture,
@@ -593,16 +595,23 @@ class TestBenchCommand:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def env():
+        # The child imports the ttrnn under test, installed or not.
+        src = str(Path(ttrnn.__file__).resolve().parents[1])
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "ttrnn", "inspect",
              str(tmp_path / "missing.ttcp")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=self.env())
         assert result.returncode == 2
         assert "data error" in result.stderr
 
     def test_help_exits_zero(self):
         result = subprocess.run([sys.executable, "-m", "ttrnn", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=self.env())
         assert result.returncode == 0
         assert "train" in result.stdout and "bench" in result.stdout

@@ -1,6 +1,7 @@
 """IDX parsing, sequence serialization, piano-roll format, batching."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from synthdata import write_idx, write_pianoroll
 from ttrnn import DataError, FormatError, ShapeError
 from ttrnn import data as D
+from ttrnn.tasks import bernoulli_frame_nll
 from ttrnn.data import (
     ImageDataset,
     PianoRollDataset,
@@ -50,12 +52,15 @@ class TestIDX:
             img, lab = idx_pair(pathlib.Path(d), pixels, labels)
             ds = read_idx(img, lab)
         assert len(ds) == 2
-        np.testing.assert_allclose(
-            ds.images[0],
-            np.array([[0, 128, 255], [1, 2, 3]]) / 255.0)
-        np.testing.assert_allclose(
-            ds.images[1],
-            np.array([[10, 20, 30], [40, 50, 60]]) / 255.0)
+        want = np.array([[[0, 128, 255], [1, 2, 3]],
+                         [[10, 20, 30], [40, 50, 60]]])
+        # The dataset holds the file's bytes; a batch divides them by 255.
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, want)
+        (batch,) = make_batches(serialize_images(ds.images, "row"), "classify",
+                                2, labels=ds.labels, divisor=D.PIXEL_DIVISOR)
+        x, _ = batch.time_major()
+        np.testing.assert_allclose(x.transpose(1, 0, 2), want / 255.0)
         np.testing.assert_array_equal(ds.labels, [3, 9])
 
     def test_zero_images_valid(self, tmp_path):
@@ -104,12 +109,16 @@ class TestIDX:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = ImageDataset(rng.integers(0, 256, size=(5, 4, 4)) / 255.0,
-                          rng.integers(0, 10, size=5))
+        pixels = rng.integers(0, 256, size=(5, 4, 4))
+        ds = ImageDataset(pixels, rng.integers(0, 10, size=5))
         write_idx(tmp_path / "i.idx", tmp_path / "l.idx", ds)
         back = read_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        np.testing.assert_array_equal(back.images, ds.images)
+        np.testing.assert_array_equal(back.images, pixels)
         np.testing.assert_array_equal(back.labels, ds.labels)
+        (batch,) = make_batches(serialize_images(back.images, "row"), "classify",
+                                5, labels=back.labels, divisor=D.PIXEL_DIVISOR)
+        x, _ = batch.time_major()
+        np.testing.assert_array_equal(x.transpose(1, 0, 2), pixels / 255.0)
 
     def test_dataset_invariants(self):
         with pytest.raises(DataError):
@@ -351,3 +360,127 @@ def test_split_train_val():
     np.testing.assert_array_equal(val.labels, ds.labels[20:])
     with pytest.raises(DataError):
         split_train_val(ds, val_count=30)
+
+
+def float64_batches(sequences, task, batch_size, shuffle_seed=None, labels=None):
+    """Batches as float64 data made them: each sequence cast to float64,
+    padded in float64 and turned time-major by a C-order copy. Returns
+    ``(inputs (T, B, N), mask (B, T), targets)`` per batch."""
+    n = len(sequences)
+    order = np.arange(n)
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+
+    def pad(seqs):
+        out = np.zeros((len(seqs), max(len(s) for s in seqs), seqs[0].shape[1]))
+        mask = np.zeros(out.shape[:2])
+        for i, s in enumerate(seqs):
+            out[i, :len(s)] = s
+            mask[i, :len(s)] = 1.0
+        return out, mask
+
+    batches = []
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
+        seqs = [np.asarray(sequences[i], dtype=np.float64) for i in idx]
+        if task == "classify":
+            inputs, mask = pad(seqs)
+            targets = np.asarray([labels[i] for i in idx])
+        else:
+            inputs, mask = pad([s[:-1] for s in seqs])
+            targets, _ = pad([s[1:] for s in seqs])
+        batches.append((np.ascontiguousarray(inputs.transpose(1, 0, 2)), mask,
+                        targets))
+    return batches
+
+
+def same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBytesUntilBatch:
+    """Data keeps its file bytes until a batch runs; ``time_major`` makes
+    the same float64 inputs, bit for bit, that dividing and padding in
+    float64 first made."""
+
+    @pytest.mark.parametrize("mode", ["row", "pixel", "permuted"])
+    def test_image_batches_equal_the_float64_path(self, tmp_path, mode):
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=7)
+        img, lab = idx_pair(tmp_path, pixels.tobytes(), labels.astype(np.uint8).tobytes(),
+                            count=7, rows=28, cols=28)
+        ds = read_idx(img, lab)
+        assert ds.images.dtype == np.uint8
+        perm = make_permutation(seed=3) if mode == "permuted" else None
+        seqs = serialize_images(ds.images, mode, perm)
+        assert seqs.dtype == np.uint8
+        batches = make_batches(seqs, "classify", 3, shuffle_seed=5,
+                               labels=ds.labels, divisor=D.PIXEL_DIVISOR)
+        want = float64_batches(serialize_images(pixels / 255.0, mode, perm),
+                               "classify", 3, shuffle_seed=5, labels=labels)
+        assert [b.size for b in batches] == [3, 3, 1]
+        for batch, (inputs, mask, targets) in zip(batches, want):
+            assert batch.inputs.dtype == np.uint8
+            x, m = batch.time_major()
+            assert x.flags.c_contiguous
+            same_bits(x, inputs)
+            np.testing.assert_array_equal(m, mask.T)
+            np.testing.assert_array_equal(batch.targets, targets)
+
+    def test_pianoroll_batches_equal_the_float64_path(self, tmp_path):
+        # Unequal lengths, so the batches are padded and masked.
+        rng = np.random.default_rng(2)
+        songs = [(rng.random((t, 88)) < 0.1).astype(float) for t in (5, 2, 9, 3, 7)]
+        path = tmp_path / "songs.txt"
+        write_pianoroll(path, PianoRollDataset(songs))
+        read = read_pianoroll(path).sequences
+        assert all(s.dtype == np.uint8 for s in read)
+        batches = make_batches(read, "predict", 2, shuffle_seed=4)
+        want = float64_batches(songs, "predict", 2, shuffle_seed=4)
+        assert any(not b.mask.all() for b in batches)
+        logits_rng = np.random.default_rng(8)
+        for batch, (inputs, mask, targets) in zip(batches, want):
+            assert batch.inputs.dtype == batch.targets.dtype == np.uint8
+            x, m = batch.time_major()
+            same_bits(x, inputs)
+            np.testing.assert_array_equal(m, mask.T)
+            np.testing.assert_array_equal(batch.targets, targets)
+            # The loss casts byte targets itself, to the same bits.
+            logits = logits_rng.standard_normal(inputs.shape)
+            got = bernoulli_frame_nll(logits, batch.targets.transpose(1, 0, 2), m)
+            ref = bernoulli_frame_nll(logits, targets.transpose(1, 0, 2), mask.T)
+            assert got[0] == ref[0]
+            same_bits(got[1], ref[1])
+
+    def test_reading_and_batching_hold_under_3_bytes_per_pixel(self, tmp_path):
+        # Float64 pixels and batches take 16 bytes per pixel or more.
+        count = 2000
+        rng = np.random.default_rng(0)
+        img, lab = idx_pair(tmp_path, rng.integers(0, 256, count * 784, dtype=np.uint8).tobytes(),
+                            rng.integers(0, 10, count, dtype=np.uint8).tobytes(),
+                            count=count, rows=28, cols=28)
+        tracemalloc.start()
+        try:
+            ds = read_idx(img, lab)
+            batches = make_batches(serialize_images(ds.images, "row"), "classify",
+                                   32, shuffle_seed=1, labels=ds.labels,
+                                   divisor=D.PIXEL_DIVISOR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 63
+        assert peak <= 3 * count * 784
+
+    def test_datasets_take_bytes_only(self):
+        ds = ImageDataset(np.array([[[0.0, 255.0]]]), np.array([1]))
+        assert ds.images.dtype == np.uint8
+        np.testing.assert_array_equal(ds.images, [[[0, 255]]])
+        for bad in (-1.0, 256.0, 0.5, np.nan):
+            with pytest.raises(DataError, match="whole numbers in \\[0, 255\\]"):
+                ImageDataset(np.full((1, 1, 2), bad), np.array([1]))
+        roll = PianoRollDataset([np.eye(2, 88)])
+        assert roll.sequences[0].dtype == np.uint8
+        with pytest.raises(DataError, match="whole numbers in \\[0, 1\\]"):
+            PianoRollDataset([np.full((2, 88), 2)])

@@ -304,6 +304,67 @@ class TestTrainRun:
         assert len(rows) == 4
         assert rows[:2] == rows[2:]
 
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    def test_records_carry_gradient_diagnostics(self, tmp_path, clip_norm):
+        cfg = mnist_cfg(tmp_path, clip_norm=clip_norm)
+        result = train_run(cfg)
+        # Replay the two epochs with train_step, keeping each batch's norm.
+        model = build_model(cfg, np.random.default_rng(cfg.seed_init))
+        opt = Adam(model.params(), lr=cfg.lr, beta1=cfg.beta1,
+                   beta2=cfg.beta2, eps=cfg.eps)
+        data = load_task_data(cfg)
+        logged = parse_runlog(tmp_path / "run" / "run.log")
+        assert len(logged) == 2
+        for epoch, rec, line in zip((1, 2), result["records"], logged):
+            batches = D.make_batches(data["train"], "classify", cfg.batch_size,
+                                     shuffle_seed=cfg.seed_data + epoch,
+                                     labels=data["train_labels"],
+                                     divisor=D.PIXEL_DIVISOR)
+            norms = [train_step(model, opt, b, True, clip_norm)[2] for b in batches]
+            clipped = [n > clip_norm for n in norms] if clip_norm else []
+            want = {"grad_norm_mean": sum(norms) / len(norms),
+                    "grad_norm_max": max(norms),
+                    "clip_frac": sum(clipped) / len(norms)}
+            assert {k: rec[k] for k in want} == want
+            assert {k: float(line[k]) for k in want} == want
+            if clip_norm:
+                assert 0.0 < want["clip_frac"] < 1.0
+            else:
+                assert want["clip_frac"] == 0.0
+
+    def test_last_checkpoint_is_written_after_every_epoch(self, tmp_path,
+                                                          monkeypatch):
+        import ttrnn.train as T
+
+        cfg = mnist_cfg(tmp_path)
+        data = load_task_data(cfg)
+        per_epoch = len(make_eval_batches(cfg, data["train"], data["train_labels"]))
+        real, calls = T.train_step, []
+
+        def fails_in_epoch_2(*args):
+            calls.append(1)
+            if len(calls) > per_epoch:
+                raise NumericError("non-finite loss nan; try a lower lr")
+            return real(*args)
+
+        monkeypatch.setattr(T, "train_step", fails_in_epoch_2)
+        with pytest.raises(NumericError, match="at epoch 2 batch 0"):
+            train_run(cfg)
+        last = tmp_path / "run" / "last.ttcp"
+        model = build_model(cfg, np.random.default_rng(cfg.seed_init))
+        opt = Adam(model.params(), lr=cfg.lr)
+        meta = load_checkpoint(last, model, optimizer=opt)
+        assert meta["epoch"] == 1.0
+        # It holds the weights an unbroken one-epoch run ends with.
+        monkeypatch.undo()
+        one = mnist_cfg(tmp_path, epochs=1, out_dir=str(tmp_path / "one"))
+        train_run(one)
+        want = build_model(one, np.random.default_rng(one.seed_init))
+        assert load_checkpoint(tmp_path / "one" / "last.ttcp", want) == meta
+        for key, value in want.params().items():
+            np.testing.assert_array_equal(model.params()[key], value)
+        assert opt.t == per_epoch
+
     def test_epochs_zero_reports_without_training(self, tmp_path):
         cfg = mnist_cfg(tmp_path, epochs=0, images="missing", labels="missing")
         # Data paths are never touched when no training happens.
