@@ -7,8 +7,8 @@ count parameters on equal footing). Hidden activations are tanh, gates are
 logistic sigmoid, and the initial hidden state is zero.
 
 A cell's ``_step``/``_step_backward`` are its bare gate equations; ``Cell.step``
-is one unmasked step. The GRU's gate math writes in place into the arrays
-its maps return, because a map's output is always a fresh array (never its
+is one unmasked step. The gate math writes in place into the arrays the
+maps return, because a map's output is always a fresh array (never its
 input, cache, weights or workspace); each operation keeps its operands and
 order, so the results have the same bits as out-of-place math. Padding is
 handled once, by :func:`unroll` and :func:`bptt`, from a per-step {0,1}
@@ -140,13 +140,16 @@ class SRNNCell(Cell):
         ch = None
         if h_prev is not None:
             ah, ch = maps["wh"].forward_cached(h_prev)
-            a = a + ah
-        h_t = np.tanh(a + self.bias, out=h_out)
+            a += ah
+        a += self.bias
+        h_t = np.tanh(a, out=h_out)
         return h_t, (cx, ch, h_t)
 
     def _step_backward(self, maps, grad_h, cache):
         cx, ch, h_t = cache
-        da = grad_h * (1.0 - h_t * h_t)
+        da = h_t * h_t
+        np.subtract(1.0, da, out=da)
+        da *= grad_h
         self.grad_bias += da.sum(axis=0)
         grad_x = maps["wx"].backward(da, cx)
         grad_h_prev = None if ch is None else maps["wh"].backward(da, ch)

@@ -26,7 +26,6 @@ import contextlib
 import io
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -212,7 +211,7 @@ def _parse_record(name: str, kind: int, payload, where: str):
 
 def read_checkpoint(path) -> Checkpoint:
     """Read and check every record of the checkpoint at ``path``."""
-    r = Reader(Path(path).read_bytes(), path)
+    r = Reader.of_file(path)
     magic = bytes(r.take(4, "magic"))
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")

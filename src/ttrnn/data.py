@@ -86,7 +86,7 @@ class ImageDataset:
 
 
 def _read_idx_file(path, magic: int, ndim: int) -> np.ndarray:
-    r = Reader(Path(path).read_bytes(), path)
+    r = Reader.of_file(path)
     found, *dims = r.unpack(f">{1 + ndim}I", "header")
     if found != magic:
         raise FormatError(f"{path}: bad magic 0x{found:08x} at offset 0, "

@@ -60,20 +60,20 @@ picks, per TT map and from its :class:`TTSpec` alone, one of two plans:
   t-th sweep runs into slot t (for inference, the map itself, each sweep
   into its own one-slot lease);
 * **dense**: a :class:`DenseView`, which builds ``W.T`` from the cores by
-  a chain of 2-D GEMMs, then costs one matmul per step, accumulates
-  ``dW.T`` over the steps and projects it onto the core gradients by
-  running the chain backwards in :meth:`DenseView.flush`. It runs no sweep
-  of the map.
+  the GEMM chain :func:`~ttrnn.ttmatrix.wt_chain`, then costs one matmul
+  per step, accumulates ``dW.T`` over the steps and projects it onto the
+  core gradients by running the chain backwards in :meth:`DenseView.flush`.
+  It runs no sweep of the map.
 
 Both views record the generation they started, and
 :meth:`LeasedView.check_current` tells whether it still holds.
 
 Both plans are exact: they contract the same cores in different orders,
-so they differ only in rounding. Over random specs with d = 1 to 4 the
-chain's ``W.T`` was within 3.5e-16 of :meth:`TTMatrix.to_dense`, and its
-core gradients within 2.4e-15 of a backward sweep on the identity, each
-relative to the array's largest entry. :func:`takes_dense_plan` holds the
-rule.
+so they differ only in rounding. The sweep is the chain's independent
+check: over the test specs (d = 1 to 4) the chain's ``W.T`` was within
+4.2e-16 of a sweep on the identity, and its core gradients within 2.4e-15
+of a backward sweep on the identity, each relative to the array's largest
+entry. :func:`takes_dense_plan` holds the rule.
 
 Every owner of trainable arrays (map, cell, model) is a :class:`Params`
 and lists its parts once, in ``parts()``: ``weight[, bias]`` for a
@@ -90,7 +90,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .ttmatrix import TTMatrix, TTSpec
+from .ttmatrix import TTMatrix, TTSpec, wt_chain
 
 
 def _check_batch(x, dim: int, what: str) -> np.ndarray:
@@ -375,38 +375,18 @@ class DenseView(LeasedView):
     before the first ``backward``) until :meth:`flush` hands them to the
     layer's core gradients.
 
-    ``W.T`` is built from the cores by a chain of 2-D GEMMs. The left partial
-    product ``L_k`` is ``W.T`` of the first k cores with the rank index left
-    open: an ``(n_1..n_k m_1..m_k, r_k)`` matrix whose rows run over
-    ``(j_1..j_k, i_1..i_k)``, with ``L_0`` the 1x1 identity. Core k+1, as
-    an ``(r_k, n m r_{k+1})`` matrix, enters as one GEMM with ``L_k``,
-    whose product runs over ``(j_<, i_<)`` by ``(j, i, r)``; one transpose
-    copy moves ``j`` in front of ``i_<``, and ``L_d`` is ``W.T``.
-    :meth:`flush` runs the same chain backwards: the gradient of ``L_k`` is
-    ``dW.T`` contracted with the right partial product of the cores after
-    k, and core k's gradient is ``L_{k-1}.T`` times it, which takes one
-    transpose copy and two GEMMs per core.
+    ``W.T`` and the left partial products ``L_k`` come from
+    :func:`~ttrnn.ttmatrix.wt_chain` (not ``to_dense``, whose cap is not the
+    plan's). :meth:`flush` runs the chain backwards: the gradient of ``L_k``
+    is ``dW.T`` times the right partial product of the cores after k, and
+    core k's gradient is ``L_{k-1}.T`` times that (per core one transpose
+    copy and two GEMMs).
     """
 
     def __init__(self, layer: TTLinear):
         super().__init__(layer)
-        spec = layer.tt.spec
-        # Each core (m, n, r_prev, r_next) as its (r_prev, n m r_next) matrix.
-        self._mats = [g.transpose(2, 1, 0, 3).reshape(g.shape[2], -1)
-                      for g in layer.tt.cores]
-        self._lefts = []  # L_0 .. L_{d-1}
-        acc = np.ones((1, 1))
-        for k, mat in enumerate(self._mats):
-            self._lefts.append(acc)
-            acc = (acc @ mat).reshape(*self._prefix(k), spec.in_modes[k], -1)
-            acc = acc.transpose(0, 2, 1, 3).reshape(-1, spec.ranks[k + 1])
-        self.wt = acc.reshape(layer.in_dim, layer.out_dim)
+        self.wt, self._lefts = wt_chain(layer.tt.cores)
         self.grad_wt = None  # until a backward call; inference makes none
-
-    def _prefix(self, k: int) -> tuple[int, int]:
-        # (n_1..n_k, m_1..m_k): the rows and columns of L_k as W.T.
-        spec = self.layer.tt.spec
-        return math.prod(spec.in_modes[:k]), math.prod(spec.out_modes[:k])
 
     def forward_cached(self, x):
         return x @ self.wt, x
@@ -421,13 +401,15 @@ class DenseView(LeasedView):
 
     def flush(self):
         """Add the accumulated gradient to the layer's core gradients, back
-        through the chain, and start accumulating again from zero."""
+        through the chain on the cores, which must be those of the build
+        (an unroll leaves them unchanged), and start again from zero."""
         if self.grad_wt is None:
             return
         spec = self.layer.tt.spec
         dleft = self.grad_wt
         for k in reversed(range(spec.ndim)):
-            rows, cols = self._prefix(k)
+            # (n_1..n_k, m_1..m_k): the rows and columns of L_k as W.T.
+            rows, cols = math.prod(spec.in_modes[:k]), math.prod(spec.out_modes[:k])
             m, n, r_prev, r_next = spec.core_shape(k)
             dprod = dleft.reshape(rows, n, cols, m * r_next).transpose(0, 2, 1, 3)
             dprod = dprod.reshape(rows * cols, -1)
@@ -435,7 +417,8 @@ class DenseView(LeasedView):
             self.layer.grad_cores[k] += (
                 dmat.reshape(r_prev, n, m, r_next).transpose(2, 1, 0, 3))
             if k:
-                dleft = dprod @ self._mats[k].T
+                mat = self.layer.tt.cores[k].transpose(2, 1, 0, 3).reshape(r_prev, -1)
+                dleft = dprod @ mat.T
         self.grad_wt = None
 
 

@@ -1,9 +1,9 @@
 """One bounded cursor over the bytes of an input file.
 
-The IDX and TTCP readers load a whole file once and parse it, the TTM1 blob
-of each TT map record included, through a :class:`Reader`. A size a header
-states is compared with the bytes left before anything is sliced, so no
-header value can make a reader allocate or index past what the file holds.
+The IDX and TTCP readers read a whole file once into one buffer and parse
+it, the TTM1 blob of each TT map record included, through a :class:`Reader`.
+A size a header states is compared with the bytes left before anything is
+sliced, so no header value can make a reader index past what the file holds.
 Each failure is a :class:`FormatError` naming the source, the field and its
 byte offset. Text (piano-roll and config files, checkpoint strings) goes
 through :func:`decode`, which names an undecodable byte the same way.
@@ -12,6 +12,7 @@ through :func:`decode`, which names an undecodable byte the same way.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -38,6 +39,14 @@ class Reader:
         self.source = source
         self.pos = 0
 
+    @classmethod
+    def of_file(cls, path) -> "Reader":
+        """A reader over the file at ``path``, read once into a writable
+        buffer whose views :meth:`array` returns."""
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            return cls(memoryview(data)[:fh.readinto(data)], path)
+
     def take(self, n: int, what: str) -> memoryview:
         """The next ``n`` bytes, for any ``n`` a header can state."""
         if not 0 <= n <= len(self.data) - self.pos:
@@ -51,12 +60,12 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, shape, what: str) -> np.ndarray:
-        """A fresh array of ``shape``. ``math.prod`` is exact where an int64
-        element count wraps (2^32 * 2^32 -> 0)."""
+        """A view of ``data`` of ``shape``. ``math.prod`` is exact where an
+        int64 element count wraps (2^32 * 2^32 -> 0)."""
         start = self.pos
         raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize, what)
         try:
-            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            return np.frombuffer(raw, dtype=dtype).reshape(shape)
         except ValueError as e:  # no elements, but dims numpy cannot index
             raise FormatError(f"{self.source}: {what} at offset {start}: "
                               f"{e}") from None

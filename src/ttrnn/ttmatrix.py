@@ -190,7 +190,8 @@ class TTMatrix:
         return cls(spec, cores)
 
     def to_dense(self, force: bool = False) -> np.ndarray:
-        """Materialize the full ``M x N`` matrix.
+        """The full ``M x N`` matrix: the F-ordered transpose of
+        :func:`wt_chain`'s ``W.T``.
 
         Refuses when ``M * N`` exceeds ``DENSE_CAP`` unless ``force`` is set,
         because accidental materialization defeats the format.
@@ -200,12 +201,28 @@ class TTMatrix:
             raise SizeError(
                 f"dense materialization of {m_dim}x{n_dim} exceeds cap {DENSE_CAP}"
             )
-        # Contract cores left to right; acc is (rows so far, columns so far,
-        # r_k). Plain einsum (no optimize) writes straight into its output,
-        # so the last step writes W once, row-major.
-        acc = self.cores[0][:, :, 0, :]
-        for g in self.cores[1:]:
-            rows, cols = acc.shape[0] * g.shape[0], acc.shape[1] * g.shape[1]
-            acc = np.einsum("abr,mnrs->ambns", acc, g).reshape(rows, cols, -1)
-        return acc.reshape(m_dim, n_dim)
+        return wt_chain(self.cores)[0].T
+
+
+def wt_chain(cores) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(W.T, lefts)``: C-ordered ``(N, M)`` ``W.T`` of the TT matrix with
+    these cores, and its left partial products ``L_0..L_{d-1}`` (``L_k`` is
+    ``W.T`` of the first k cores with the rank index left open, rows over
+    ``(j_1..j_k, i_1..i_k)``; Oseledets 2011). Core k+1 enters as one
+    broadcast matmul, per ``(j_<, j)`` the ``(m_<, r_k)`` block of ``L_k``
+    times the core's slice at ``j``, written straight into ``L_{k+1}``'s
+    final layout: no step copies a product, so the last writes ``W.T`` once.
+    """
+    acc = np.ones((1, 1))
+    lefts = []
+    rows = cols = 1  # n_1..n_k and m_1..m_k
+    for g in cores:
+        m, n, r_prev, r_next = g.shape
+        lefts.append(acc)
+        out = np.empty((rows, n, cols, m * r_next))
+        np.matmul(acc.reshape(rows, 1, cols, r_prev),
+                  g.transpose(1, 2, 0, 3).reshape(n, r_prev, m * r_next), out=out)
+        rows, cols = rows * n, cols * m
+        acc = out.reshape(-1, r_next)
+    return acc.reshape(rows, cols), lefts
 

@@ -63,6 +63,23 @@ class TestIDX:
         np.testing.assert_allclose(x.transpose(1, 0, 2), want / 255.0)
         np.testing.assert_array_equal(ds.labels, [3, 9])
 
+    def test_reads_each_file_once_without_a_copy(self, tmp_path):
+        # The pixels are a view of the one buffer the file is read into; a
+        # copy of them next to the file's bytes reads 2 bytes per pixel.
+        count = 2000
+        rng = np.random.default_rng(0)
+        img, lab = idx_pair(tmp_path, rng.integers(0, 256, count * 784, dtype=np.uint8).tobytes(),
+                            rng.integers(0, 10, count, dtype=np.uint8).tobytes(),
+                            count=count, rows=28, cols=28)
+        tracemalloc.start()
+        try:
+            ds = read_idx(img, lab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images.flags.writeable
+        assert peak < 1.3 * count * 784, f"{peak / (count * 784):.2f} bytes per pixel"
+
     def test_zero_images_valid(self, tmp_path):
         img, lab = idx_pair(tmp_path, b"", b"", count=0)
         ds = read_idx(img, lab)

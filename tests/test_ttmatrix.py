@@ -177,14 +177,18 @@ class TestDense:
                              for i in range(1, m_dim + 1)])
             np.testing.assert_allclose(dense, full, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("out_modes, in_modes, rank", [
-        ((16, 16, 8), (16, 16, 8), 4),  # 2048 x 2048
-        ((4, 16, 16), (4, 8, 8), 5),  # 1024 x 256
-    ], ids=["2048x2048-r4", "1024x256-r5"])
-    def test_writes_w_once(self, out_modes, in_modes, rank):
-        # The last contraction writes W in place, so the traced peak is W
-        # plus the much smaller partial product; a second copy of W (a
-        # transposed result) would read 2x.
+    @pytest.mark.parametrize("out_modes, in_modes, rank, bound", [
+        ((16, 16, 8), (16, 16, 8), 4, 1.5),  # 2048 x 2048
+        ((4, 16, 16), (4, 8, 8), 5, 1.5),  # 1024 x 256
+        # perfbench's wide wh, which its gate densifies: a 2x build would
+        # add 134 MB to that workload's peak RSS.
+        ((16, 16, 16), (16, 16, 16), 4, 1.1),  # 4096 x 4096
+    ], ids=["2048x2048-r4", "1024x256-r5", "4096x4096-r4"])
+    def test_writes_w_once(self, out_modes, in_modes, rank, bound):
+        # The chain's last step writes W.T in place, so the traced peak is W
+        # plus the much smaller partial products; a second copy of W (a
+        # transposed result) would read 2x. to_dense returns W.T's
+        # transpose, so W is F-ordered.
         tt = TTMatrix.glorot(TTSpec.with_rank(out_modes, in_modes, rank),
                              np.random.default_rng(0))
         tracemalloc.start()
@@ -193,8 +197,8 @@ class TestDense:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dense.flags.c_contiguous
-        assert peak < 1.5 * dense.nbytes, f"peak {peak / dense.nbytes:.2f}x W"
+        assert dense.T.flags.c_contiguous
+        assert peak < bound * dense.nbytes, f"peak {peak / dense.nbytes:.2f}x W"
 
     def test_cap(self):
         spec = TTSpec.with_rank((64, 128), (128, 64), 2)
